@@ -69,7 +69,9 @@ int main(int argc, char** argv) try {
     }
     sweep_counters.merge(counters);
     stop_env.record(r);
-    const std::string cell = "t" + std::to_string(t) + "_";
+    // append, not "t" + to_string(t): GCC 12 reports a false -Wrestrict on
+    // operator+(const char*, string&&).
+    const std::string cell = std::string("t").append(std::to_string(t)) + "_";
     json_result.set_metric(cell + "total_seconds", r.total_seconds);
     json_result.set_step_metrics(cell + "step_", r.timers);
     json_result.set_metric(cell + "objective", r.value.objective);

@@ -268,17 +268,17 @@ AlignResult distributed_belief_prop_align(const NetAlignProblem& p,
       std::copy(st.z_prev.begin(), st.z_prev.end(), gz.begin() + st.elo);
       std::copy(st.sk_prev.begin(), st.sk_prev.end(), gs.begin() + st.slo);
     }
-    io::ByteWriter w;
-    w.pod_vector(gy);
-    w.pod_vector(gz);
-    w.pod_vector(gs);
-    w.u64(bsp.supersteps);
-    w.u64(bsp.messages);
-    w.u64(bsp.remote_messages);
-    w.u64(bsp.bytes);
-    w.u64(bsp.max_h_relation);
-    w.u64(gather_bytes);
-    c.add("dist.bp.state").payload = w.take();
+    io::ByteWriter state;
+    state.pod_vector(gy);
+    state.pod_vector(gz);
+    state.pod_vector(gs);
+    state.u64(bsp.supersteps);
+    state.u64(bsp.messages);
+    state.u64(bsp.remote_messages);
+    state.u64(bsp.bytes);
+    state.u64(bsp.max_h_relation);
+    state.u64(gather_bytes);
+    c.add("dist.bp.state").payload = state.take();
     ckpt::commit_checkpoint(c, budget.checkpoint_path, iter, trace, counters);
     last_snapshot_iter = iter;
   };

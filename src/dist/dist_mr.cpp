@@ -210,18 +210,18 @@ AlignResult distributed_klau_mr_align(const NetAlignProblem& p,
     for (const MrRankState& st : ranks) {
       std::copy(st.u.begin(), st.u.end(), gu.begin() + st.slo);
     }
-    io::ByteWriter w;
-    w.pod_vector(gu);
-    w.f64(gamma);
-    w.f64(best_upper);
-    w.i32(since_upper_improved);
-    w.u64(bsp.supersteps);
-    w.u64(bsp.messages);
-    w.u64(bsp.remote_messages);
-    w.u64(bsp.bytes);
-    w.u64(bsp.max_h_relation);
-    w.u64(gather_bytes);
-    c.add("dist.mr.state").payload = w.take();
+    io::ByteWriter state;
+    state.pod_vector(gu);
+    state.f64(gamma);
+    state.f64(best_upper);
+    state.i32(since_upper_improved);
+    state.u64(bsp.supersteps);
+    state.u64(bsp.messages);
+    state.u64(bsp.remote_messages);
+    state.u64(bsp.bytes);
+    state.u64(bsp.max_h_relation);
+    state.u64(gather_bytes);
+    c.add("dist.mr.state").payload = state.take();
     ckpt::commit_checkpoint(c, budget.checkpoint_path, iter, trace, counters);
     last_snapshot_iter = iter;
   };

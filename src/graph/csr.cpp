@@ -134,30 +134,36 @@ eid_t CsrMatrix::find(vid_t r, vid_t c) const noexcept {
   return static_cast<eid_t>(it - col_.begin());
 }
 
-bool CsrMatrix::is_structurally_symmetric() const {
+bool CsrMatrix::transpose_walk(std::span<eid_t> perm) const {
   if (nrows_ != ncols_) return false;
+  // Rows are visited in increasing r and each row's columns ascend, so in a
+  // symmetric pattern the mirror (c, r) of entry (r, c) is always the next
+  // unclaimed slot of row c. One cursor per row finds every mirror in
+  // O(nnz); a slot whose column is not r proves the pattern asymmetric.
+  // Every entry claims a distinct slot, so nnz successful claims cover all
+  // of them.
+  std::vector<eid_t> cursor(ptr_.begin(), ptr_.end() - 1);
   for (vid_t r = 0; r < nrows_; ++r) {
     for (eid_t k = row_begin(r); k < row_end(r); ++k) {
-      if (find(col_[k], r) == kInvalidEid) return false;
+      const vid_t c = col_[k];
+      const eid_t q = cursor[c]++;
+      if (q >= ptr_[c + 1] || col_[q] != r) return false;
+      if (!perm.empty()) perm[k] = q;
     }
   }
   return true;
 }
 
+bool CsrMatrix::is_structurally_symmetric() const {
+  return transpose_walk({});
+}
+
 std::vector<eid_t> CsrMatrix::symmetric_transpose_permutation() const {
-  if (!is_structurally_symmetric()) {
+  std::vector<eid_t> perm(col_.size());
+  if (!transpose_walk(perm)) {
     throw std::logic_error(
         "symmetric_transpose_permutation: pattern is not symmetric");
   }
-  std::vector<eid_t> perm(col_.size());
-  fenced_parallel([&] {
-#pragma omp for schedule(dynamic, kDynamicChunk) nowait
-    for (vid_t r = 0; r < nrows_; ++r) {
-      for (eid_t k = row_begin(r); k < row_end(r); ++k) {
-        perm[k] = find(col_[k], r);
-      }
-    }
-  });
   return perm;
 }
 

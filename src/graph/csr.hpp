@@ -10,6 +10,7 @@
 // every transpose access is a gather -- the paper's "permutation trick".
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,6 +32,30 @@ enum class DuplicatePolicy {
   kMax,   ///< keep the largest value
   kError  ///< throw std::invalid_argument
 };
+
+/// Closes the gaps a per-row dedup leaves in CSR arrays: row r keeps the
+/// first len[r] entries of each array, rows slide down in order, and ptr
+/// becomes the new prefix sums. Arrays shrink to fit; when no row lost an
+/// entry nothing moves.
+template <typename... Arrays>
+void compact_rows(std::vector<eid_t>& ptr, std::span<const eid_t> len,
+                  Arrays&... arrays) {
+  const std::size_t nrows = ptr.size() - 1;
+  eid_t out = 0;
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const eid_t lo = ptr[r];
+    ptr[r] = out;
+    if (lo != out) {
+      // Forward copies are safe: the destination starts before the source.
+      (std::copy_n(arrays.begin() + lo, len[r], arrays.begin() + out), ...);
+    }
+    out += len[r];
+  }
+  if (out == ptr[nrows]) return;
+  ptr[nrows] = out;
+  ((arrays.resize(static_cast<std::size_t>(out)), arrays.shrink_to_fit()),
+   ...);
+}
 
 class CsrMatrix {
  public:
@@ -104,6 +129,10 @@ class CsrMatrix {
   [[nodiscard]] std::vector<std::vector<weight_t>> to_dense() const;
 
  private:
+  /// Shared walk of the two members above: true iff the pattern is
+  /// symmetric, filling perm (when non-empty) on the way.
+  [[nodiscard]] bool transpose_walk(std::span<eid_t> perm) const;
+
   vid_t nrows_ = 0;
   vid_t ncols_ = 0;
   std::vector<eid_t> ptr_;

@@ -64,8 +64,11 @@ class ByteWriter {
  private:
   void raw(const void* p, std::size_t n) {
     if (n == 0) return;  // an empty vector's data() may be null
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    // resize + memcpy rather than insert(end, p, p + n): GCC 12 reports a
+    // false -Wstringop-overflow on the inlined insert of a 4-byte value.
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
   std::vector<std::uint8_t> buf_;
 };

@@ -12,8 +12,8 @@
 //    then wreck every comparison-based matcher downstream.
 //    require_finite() rejects them at the boundary.
 //
-// Errors carry the stream byte offset so a bad record in a large file is
-// findable without bisection.
+// Errors carry the byte offset so a bad record in a large file is findable
+// without bisection.
 #pragma once
 
 #include <cmath>
@@ -24,51 +24,75 @@
 
 namespace netalign::io {
 
-/// " (at byte N)" suffix for loader errors, or "" when the stream cannot
-/// report a position. Works even after a failed extraction: the fail bit
-/// is cleared just long enough to ask, then restored.
-inline std::string at_byte(std::istream& in) {
+/// The stream's position for error messages, or -1 when it cannot report
+/// one. Works even after a failed extraction: the fail bit is cleared just
+/// long enough to ask, then restored.
+inline long long position(std::istream& in) {
   const auto state = in.rdstate();
   in.clear(state & ~(std::ios::failbit | std::ios::eofbit));
   const auto pos = in.tellg();
   in.clear(state);
-  if (pos < 0) return "";
-  return " (at byte " + std::to_string(static_cast<long long>(pos)) + ")";
+  return pos < 0 ? -1 : static_cast<long long>(pos);
 }
 
-/// Throws std::runtime_error with the stream position appended.
+/// " (at byte N)" suffix for loader errors, or "" for an unknown (negative)
+/// position.
+inline std::string at_byte(long long pos) {
+  if (pos < 0) return "";
+  return " (at byte " + std::to_string(pos) + ")";
+}
+
+inline std::string at_byte(std::istream& in) { return at_byte(position(in)); }
+
+/// Throws std::runtime_error with the byte position appended. The offset
+/// form serves loaders that track their own position (problem_io.cpp).
+[[noreturn]] inline void fail(long long pos, const std::string& msg) {
+  throw std::runtime_error(msg + at_byte(pos));
+}
+
 [[noreturn]] inline void fail(std::istream& in, const std::string& msg) {
-  throw std::runtime_error(msg + at_byte(in));
+  fail(position(in), msg);
 }
 
 /// Validates a header-declared record count before it reaches `reserve`:
 /// rejects negative counts, and counts whose records (at least
 /// `min_record_bytes` each, counting separators) could not fit in the
-/// bytes remaining in the stream. Non-seekable streams skip the size
-/// bound; the count's sign is still checked.
+/// `remaining` bytes after the count. A negative `remaining` (unknown, as
+/// for a non-seekable stream) skips the size bound; the count's sign is
+/// still checked. `pos` is the position reported on failure.
+template <typename Count>
+void check_record_count(long long pos, long long remaining, Count count,
+                        std::size_t min_record_bytes,
+                        const std::string& what) {
+  if (count < 0) {
+    fail(pos, what + ": negative count " + std::to_string(count));
+  }
+  if (count == 0 || remaining < 0) return;
+  // Division instead of multiplication: count * min_record_bytes could
+  // itself overflow for a hostile 64-bit count.
+  if (static_cast<unsigned long long>(count) >
+      static_cast<unsigned long long>(remaining) / min_record_bytes) {
+    fail(pos, what + ": declared count " + std::to_string(count) +
+                  " cannot fit in the " + std::to_string(remaining) +
+                  " bytes remaining in the stream");
+  }
+}
+
+/// The same check with the remaining bytes measured on the stream, which
+/// is left at its current position.
 template <typename Count>
 void check_record_count(std::istream& in, Count count,
                         std::size_t min_record_bytes,
                         const std::string& what) {
-  if (count < 0) {
-    fail(in, what + ": negative count " + std::to_string(count));
+  const long long here = position(in);
+  long long remaining = -1;
+  if (count > 0 && here >= 0) {
+    in.seekg(0, std::ios::end);
+    const auto end = in.tellg();
+    in.seekg(here);
+    if (end >= here) remaining = static_cast<long long>(end) - here;
   }
-  if (count == 0) return;
-  const auto here = in.tellg();
-  if (here < 0) return;
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(here);
-  if (end < 0 || end < here) return;
-  const auto remaining =
-      static_cast<unsigned long long>(end) - static_cast<unsigned long long>(here);
-  // Division instead of multiplication: count * min_record_bytes could
-  // itself overflow for a hostile 64-bit count.
-  if (static_cast<unsigned long long>(count) > remaining / min_record_bytes) {
-    fail(in, what + ": declared count " + std::to_string(count) +
-                 " cannot fit in the " + std::to_string(remaining) +
-                 " bytes remaining in the stream");
-  }
+  check_record_count(here, remaining, count, min_record_bytes, what);
 }
 
 /// Rejects NaN and +/-Inf values read from a stream.

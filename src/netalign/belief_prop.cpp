@@ -158,11 +158,11 @@ AlignResult belief_prop_align(const NetAlignProblem& p, const SquaresView& S,
     c.solver = "bp";
     ckpt::write_meta(c, "bp", m, nnz, 0);
     ckpt::write_progress(c, iter, tracker, result);
-    io::ByteWriter w;
-    w.pod_vector(y_prev);
-    w.pod_vector(z_prev);
-    w.pod_vector(sk_prev);
-    c.add("bp.state").payload = w.take();
+    io::ByteWriter state;
+    state.pod_vector(y_prev);
+    state.pod_vector(z_prev);
+    state.pod_vector(sk_prev);
+    c.add("bp.state").payload = state.take();
     ckpt::commit_checkpoint(c, budget.checkpoint_path, iter, trace, counters);
     last_snapshot_iter = iter;
   };

@@ -72,8 +72,8 @@ SquaresMatrix SquaresMatrix::build(const NetAlignProblem& p,
     throw std::invalid_argument("SquaresMatrix::build: row-ptr size mismatch");
   }
 
-  // Fill pass. Rows come out already sorted by column id (required for the
-  // binary-search lookups behind the transpose permutation); the is_sorted
+  // Fill pass. Rows come out already sorted by column id (required by the
+  // cursor walk behind the transpose permutation); the is_sorted
   // guard keeps that invariant checkable without paying for a sort.
   std::vector<vid_t> col(static_cast<std::size_t>(ptr[m]));
   fenced_parallel([&] {

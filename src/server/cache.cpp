@@ -1,7 +1,7 @@
 #include "server/cache.hpp"
 
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "io/problem_io.hpp"
@@ -87,8 +87,7 @@ std::shared_ptr<const CachedProblem> ProblemCache::get(
       auto built = std::make_shared<CachedProblem>();
       built->key = key;
       built->mode = mode;
-      std::istringstream in(text);
-      built->problem = read_problem(in);
+      built->problem = read_problem(std::string_view(text));
       // The problem is in its final location (inside the shared_ptr-owned
       // struct) before the backend is built: an implicit backend pins the
       // problem by pointer, so it must not move afterwards.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -109,6 +110,64 @@ TEST(BipartiteGraph, WeightsSpanMatchesEdgeWeight) {
   ASSERT_EQ(static_cast<eid_t>(w.size()), g.num_edges());
   for (eid_t e = 0; e < g.num_edges(); ++e) {
     EXPECT_EQ(w[e], g.edge_weight(e));
+  }
+}
+
+// The sort-the-whole-list builder that the counting sort replaced: edges in
+// (a, b) order with duplicates folded to their max weight.
+std::vector<LEdge> reference_edges(std::vector<LEdge> edges) {
+  std::sort(edges.begin(), edges.end(), [](const LEdge& x, const LEdge& y) {
+    return x.a != y.a ? x.a < y.a : x.b < y.b;
+  });
+  std::vector<LEdge> unique;
+  for (const auto& e : edges) {
+    if (!unique.empty() && unique.back().a == e.a && unique.back().b == e.b) {
+      unique.back().w = std::max(unique.back().w, e.w);
+    } else {
+      unique.push_back(e);
+    }
+  }
+  return unique;
+}
+
+TEST(BipartiteGraph, CountingSortBuilderMatchesSortReference) {
+  Xoshiro256 rng(77);
+  for (const vid_t na : {1, 5, 300, 3000}) {
+    const vid_t nb = na / 2 + 3;
+    std::vector<LEdge> edges;
+    for (int i = 0; i < 8 * na; ++i) {
+      const LEdge e{static_cast<vid_t>(rng.uniform_int(na)),
+                    static_cast<vid_t>(rng.uniform_int(std::min(nb, 12))),
+                    rng.uniform(0.0, 1.0)};
+      edges.push_back(e);
+      // Same pair again with another weight, before or after the first.
+      if (i % 4 == 0) edges.push_back(LEdge{e.a, e.b, rng.uniform(0.0, 1.0)});
+      if (i % 9 == 0) std::swap(edges.back(), edges[edges.size() / 2]);
+    }
+    const BipartiteGraph g = BipartiteGraph::from_edges(na, nb, edges);
+    const auto ref = reference_edges(edges);
+    ASSERT_EQ(g.num_edges(), static_cast<eid_t>(ref.size())) << "na=" << na;
+    for (eid_t e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(g.edge_a(e), ref[e].a) << e;
+      ASSERT_EQ(g.edge_b(e), ref[e].b) << e;
+      ASSERT_EQ(g.edge_weight(e), ref[e].w) << e;
+    }
+    for (vid_t a = 0; a < na; ++a) {
+      for (eid_t e = g.row_begin(a); e < g.row_end(a); ++e) {
+        ASSERT_EQ(g.edge_a(e), a);
+      }
+    }
+    // CSC: each column lists its edges in increasing id.
+    for (vid_t b = 0; b < nb; ++b) {
+      for (eid_t k = g.col_begin(b); k < g.col_end(b); ++k) {
+        const eid_t e = g.col_edge(k);
+        ASSERT_EQ(g.edge_b(e), b);
+        ASSERT_EQ(g.col_a(k), g.edge_a(e));
+        if (k > g.col_begin(b)) {
+          ASSERT_LT(g.col_edge(k - 1), e);
+        }
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -196,6 +197,93 @@ TEST(CsrMatrix, FromCsrArraysValidatesInput) {
   EXPECT_THROW(
       CsrMatrix::from_csr_arrays(1, 1, {0, 1}, {3}, {}),  // out of range
       std::invalid_argument);
+}
+
+// Random symmetric pattern: every entry and its mirror, some diagonal.
+std::vector<CooEntry> random_symmetric(vid_t n, int pairs, Xoshiro256& rng) {
+  std::vector<CooEntry> entries;
+  for (int i = 0; i < pairs; ++i) {
+    const auto r = static_cast<vid_t>(rng.uniform_int(n));
+    const auto c = static_cast<vid_t>(rng.uniform_int(n));
+    entries.push_back(CooEntry{r, c, rng.uniform(0.0, 1.0)});
+    entries.push_back(CooEntry{c, r, rng.uniform(0.0, 1.0)});
+  }
+  return entries;
+}
+
+TEST(CsrMatrix, TransposePermutationMatchesLowerBoundReference) {
+  Xoshiro256 rng(5);
+  for (const vid_t n : {1, 2, 9, 200, 2500}) {
+    const CsrMatrix m =
+        CsrMatrix::from_coo(n, n, random_symmetric(n, 5 * n, rng));
+    ASSERT_TRUE(m.is_structurally_symmetric());
+    const auto perm = m.symmetric_transpose_permutation();
+    ASSERT_EQ(static_cast<eid_t>(perm.size()), m.num_nonzeros());
+    const auto col = m.col_idx();
+    for (vid_t r = 0; r < n; ++r) {
+      for (eid_t k = m.row_begin(r); k < m.row_end(r); ++k) {
+        const auto first = col.begin() + m.row_begin(col[k]);
+        const auto last = col.begin() + m.row_end(col[k]);
+        const eid_t want = std::lower_bound(first, last, r) - col.begin();
+        ASSERT_EQ(perm[k], want) << "n=" << n << " entry " << k;
+      }
+    }
+  }
+}
+
+TEST(CsrMatrix, TransposePermutationRejectsEveryMissingMirror) {
+  Xoshiro256 rng(8);
+  const vid_t n = 40;
+  const auto sym = random_symmetric(n, 150, rng);
+  const CsrMatrix base = CsrMatrix::from_coo(n, n, sym, DuplicatePolicy::kMax);
+  // Drop each off-diagonal entry in turn: its mirror is then unmatched,
+  // wherever it sits in its row (first, middle or last slot).
+  for (vid_t r = 0; r < n; ++r) {
+    for (eid_t k = base.row_begin(r); k < base.row_end(r); ++k) {
+      const vid_t c = base.col_idx()[k];
+      if (c == r) continue;
+      std::vector<CooEntry> asym;
+      for (const auto& e : sym) {
+        if (e.row != r || e.col != c) asym.push_back(e);
+      }
+      const CsrMatrix m = CsrMatrix::from_coo(n, n, asym, DuplicatePolicy::kMax);
+      ASSERT_FALSE(m.is_structurally_symmetric()) << r << "," << c;
+      ASSERT_THROW((void)m.symmetric_transpose_permutation(), std::logic_error);
+    }
+  }
+}
+
+TEST(CsrMatrix, SymmetryCheckMatchesMirrorLookup) {
+  // Asymmetric patterns whose row and column counts can still balance: a
+  // symmetric base plus a directed cycle. Reference: look up every mirror.
+  Xoshiro256 rng(13);
+  const vid_t n = 30;
+  for (int trial = 0; trial < 40; ++trial) {
+    auto entries = random_symmetric(n, 60, rng);
+    const std::size_t len = 3 + static_cast<std::size_t>(trial % 5);
+    std::vector<vid_t> cycle;
+    while (cycle.size() < len) {
+      const auto v = static_cast<vid_t>(rng.uniform_int(n));
+      if (std::find(cycle.begin(), cycle.end(), v) == cycle.end()) {
+        cycle.push_back(v);
+      }
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      entries.push_back(CooEntry{cycle[i], cycle[(i + 1) % len], 1.0});
+    }
+    const CsrMatrix m = CsrMatrix::from_coo(n, n, entries);
+    bool want = true;
+    for (vid_t r = 0; r < n; ++r) {
+      for (eid_t k = m.row_begin(r); k < m.row_end(r); ++k) {
+        if (m.find(m.col_idx()[k], r) == kInvalidEid) want = false;
+      }
+    }
+    ASSERT_EQ(m.is_structurally_symmetric(), want) << "trial " << trial;
+    if (!want) {
+      ASSERT_THROW((void)m.symmetric_transpose_permutation(),
+                   std::logic_error);
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
+
+#include "util/prng.hpp"
 
 namespace netalign {
 namespace {
@@ -75,6 +78,51 @@ TEST(Graph, EdgeListRoundTrips) {
   const Graph g2 = Graph::from_edges(4, out);
   EXPECT_EQ(g2.num_edges(), g.num_edges());
   for (const auto& [u, v] : out) EXPECT_TRUE(g2.has_edge(u, v));
+}
+
+// The sort-the-whole-list builder that the counting sort replaced: the
+// reference adjacency for the parity test below.
+std::vector<std::vector<vid_t>> reference_adjacency(vid_t n,
+                                                    const Edges& edges) {
+  Edges dir;
+  for (auto [u, v] : edges) {
+    if (u == v) continue;
+    dir.emplace_back(u, v);
+    dir.emplace_back(v, u);
+  }
+  std::sort(dir.begin(), dir.end());
+  dir.erase(std::unique(dir.begin(), dir.end()), dir.end());
+  std::vector<std::vector<vid_t>> adj(static_cast<std::size_t>(n));
+  for (auto [u, v] : dir) adj[u].push_back(v);
+  return adj;
+}
+
+TEST(Graph, CountingSortBuilderMatchesSortReference) {
+  Xoshiro256 rng(2024);
+  // Several OpenMP chunks of rows, dense enough for many duplicates in
+  // both orientations, plus self loops.
+  for (const vid_t n : {1, 7, 300, 4000}) {
+    Edges edges;
+    const int m = 6 * n;
+    for (int i = 0; i < m; ++i) {
+      const auto u = static_cast<vid_t>(rng.uniform_int(n));
+      const auto v = static_cast<vid_t>(rng.uniform_int(std::min(n, u + 8)));
+      edges.emplace_back(u, v);
+      if (i % 5 == 0) edges.emplace_back(v, u);
+      if (i % 17 == 0) edges.emplace_back(u, u);
+    }
+    const Graph g = Graph::from_edges(n, edges);
+    const auto ref = reference_adjacency(n, edges);
+    eid_t total = 0;
+    for (vid_t v = 0; v < n; ++v) {
+      const auto nbrs = g.neighbors(v);
+      ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), ref[v].begin(),
+                             ref[v].end()))
+          << "n=" << n << " vertex " << v;
+      total += static_cast<eid_t>(ref[v].size());
+    }
+    EXPECT_EQ(g.num_edges(), total / 2);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "io/edge_list.hpp"
@@ -413,6 +418,234 @@ TEST(ProblemIo, FileRoundTrip) {
   EXPECT_EQ(r.A.num_edges(), inst.problem.A.num_edges());
   EXPECT_EQ(r.B.num_edges(), inst.problem.B.num_edges());
   std::remove(path.c_str());
+}
+
+// --- tokenizer grammar: every spelling reads equal to the canonical file --
+
+const char* const kCanonical =
+    "NETALIGN-PROBLEM 1\n"
+    "name tiny\n"
+    "alpha 1 beta 2\n"
+    "graphA 3 2\n0 1\n1 2\n"
+    "graphB 3 2\n0 2\n2 1\n"
+    "L 3 3 4\n0 0 1.5\n1 2 0.00001\n2 1 0.25\n0 2 3\n";
+
+std::vector<std::string> tokens_of(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> out;
+  for (std::string tok; in >> tok;) out.push_back(tok);
+  return out;
+}
+
+// Re-joins the canonical tokens, `line` tokens per line (0 = one line),
+// with `sep` inside a line and `eol` between lines; `spell` may rewrite
+// each token.
+template <typename Spell>
+std::string respell(const std::string& sep, const std::string& eol,
+                    std::size_t line, Spell&& spell) {
+  const auto toks = tokens_of(kCanonical);
+  std::string out;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (i > 0) out += (line > 0 && i % line == 0) ? eol : sep;
+    out += spell(toks[i]);
+  }
+  return out;
+}
+
+std::string same(const std::string& tok) { return tok; }
+
+bool is_number(const std::string& tok) {
+  return tok.find_first_not_of("0123456789.") == std::string::npos;
+}
+
+void expect_same_problem(const NetAlignProblem& a, const NetAlignProblem& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.alpha, b.alpha);
+  EXPECT_EQ(a.beta, b.beta);
+  for (const auto* pair : {&a.A, &a.B}) {
+    const Graph& ga = *pair;
+    const Graph& gb = pair == &a.A ? b.A : b.B;
+    ASSERT_EQ(ga.num_vertices(), gb.num_vertices());
+    ASSERT_EQ(ga.num_edges(), gb.num_edges());
+    for (vid_t v = 0; v < ga.num_vertices(); ++v) {
+      const auto na = ga.neighbors(v), nb = gb.neighbors(v);
+      EXPECT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()));
+    }
+  }
+  ASSERT_EQ(a.L.num_edges(), b.L.num_edges());
+  EXPECT_EQ(a.L.num_a(), b.L.num_a());
+  EXPECT_EQ(a.L.num_b(), b.L.num_b());
+  for (eid_t e = 0; e < a.L.num_edges(); ++e) {
+    EXPECT_EQ(a.L.edge_a(e), b.L.edge_a(e));
+    EXPECT_EQ(a.L.edge_b(e), b.L.edge_b(e));
+    EXPECT_EQ(a.L.edge_weight(e), b.L.edge_weight(e));
+    EXPECT_EQ(a.L.col_edge(e), b.L.col_edge(e));
+  }
+}
+
+NetAlignProblem read_text(const std::string& text) {
+  std::istringstream in(text);
+  return read_problem(in);
+}
+
+TEST(ProblemIoGrammar, CanonicalFileReads) {
+  const NetAlignProblem p = read_text(kCanonical);
+  EXPECT_EQ(p.name, "tiny");
+  EXPECT_EQ(p.A.num_edges(), 2);
+  ASSERT_EQ(p.L.num_edges(), 4);
+  EXPECT_EQ(p.L.edge_weight(p.L.find_edge(1, 2)), 1e-05);
+}
+
+TEST(ProblemIoGrammar, Tabs) {
+  expect_same_problem(read_text(respell("\t", "\n", 3, same)),
+                      read_text(kCanonical));
+}
+
+TEST(ProblemIoGrammar, Crlf) {
+  expect_same_problem(read_text(respell(" ", "\r\n", 3, same)),
+                      read_text(kCanonical));
+}
+
+TEST(ProblemIoGrammar, EveryWhitespaceCharacter) {
+  expect_same_problem(read_text(respell(" \t\v", "\f\r\n ", 2, same)),
+                      read_text(kCanonical));
+}
+
+TEST(ProblemIoGrammar, SeveralRecordsPerLine) {
+  expect_same_problem(read_text(respell(" ", "\n", 0, same)),
+                      read_text(kCanonical));
+}
+
+TEST(ProblemIoGrammar, RecordSplitAcrossLines) {
+  expect_same_problem(read_text(respell("\n", "\n", 1, same)),
+                      read_text(kCanonical));
+}
+
+TEST(ProblemIoGrammar, LeadingPlus) {
+  const auto plus = [](const std::string& tok) {
+    return is_number(tok) ? "+" + tok : tok;
+  };
+  expect_same_problem(read_text(respell(" ", "\n", 3, plus)),
+                      read_text(kCanonical));
+}
+
+TEST(ProblemIoGrammar, ExponentForms) {
+  const std::string text =
+      "NETALIGN-PROBLEM 1\nname tiny\nalpha 1e0 beta 0.2E+1\n"
+      "graphA 3 2\n0 1\n1 2\ngraphB 3 2\n0 2\n2 1\n"
+      "L 3 3 4\n0 0 15e-1\n1 2 1e-05\n2 1 .25\n0 2 3.\n";
+  expect_same_problem(read_text(text), read_text(kCanonical));
+}
+
+TEST(ProblemIoGrammar, NegativeZero) {
+  const auto neg = [](const std::string& tok) {
+    return tok == "0" ? std::string("-0") : tok;
+  };
+  expect_same_problem(read_text(respell(" ", "\n", 3, neg)),
+                      read_text(kCanonical));
+  // A weight of -0 reads as negative zero, as operator>> would read it.
+  const NetAlignProblem p = read_problem(
+      "NETALIGN-PROBLEM 1 name x alpha 1 beta 1 graphA 1 0 graphB 1 0 "
+      "L 1 1 1 0 0 -0");
+  EXPECT_TRUE(std::signbit(p.L.edge_weight(0)));
+}
+
+TEST(ProblemIoGrammar, UnderflowReadsAsZeroAndOverflowIsRejected) {
+  const std::string head =
+      "NETALIGN-PROBLEM 1 name x alpha 1 beta 1 graphA 1 0 graphB 1 0 "
+      "L 1 1 1 0 0 ";
+  EXPECT_EQ(read_problem(head + "1e-400").L.edge_weight(0), 0.0);
+  const std::string msg = error_of([&] { read_problem(head + "1e400"); });
+  EXPECT_NE(msg.find("L edge list at edge 0"), std::string::npos) << msg;
+}
+
+TEST(ProblemIoGrammar, TokensMustBeWholeNumbers) {
+  for (const char* bad : {"1x", "+-1", "0x10", "1.5"}) {
+    const std::string text =
+        std::string("NETALIGN-PROBLEM 1 name x alpha 1 beta 1 graphA 2 1 ") +
+        "0 " + bad + " graphB 1 0 L 2 1 0";
+    const std::string msg = error_of([&] { read_problem(text); });
+    EXPECT_NE(msg.find("graphA edge list at edge 0"), std::string::npos)
+        << bad << ": " << msg;
+  }
+}
+
+TEST(ProblemIoGrammar, StringViewAndStreamAgree) {
+  PowerLawInstanceOptions opt;
+  opt.n = 80;
+  opt.seed = 3;
+  const auto inst = make_power_law_instance(opt);
+  std::stringstream ss;
+  write_problem(ss, inst.problem);
+  const std::string text = ss.str();
+  expect_same_problem(read_problem(std::string_view(text)), read_text(text));
+  expect_same_problem(read_problem(std::string_view(text)), inst.problem);
+}
+
+TEST(ProblemIoGrammar, StreamIsLeftPastTheLastToken) {
+  std::stringstream ss(std::string(kCanonical) + "TRAILER 7\n");
+  (void)read_problem(ss);
+  std::string tok;
+  ss >> tok;
+  EXPECT_EQ(tok, "TRAILER");
+}
+
+// A stream whose reads return 1..7 bytes in turn, so tokens straddle every
+// refill of the reader's buffer. Not seekable, like a pipe.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string text) : text_(std::move(text)) {}
+
+ protected:
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    const auto left = static_cast<std::streamsize>(text_.size() - pos_);
+    const std::streamsize got = std::min({n, left, step_});
+    std::memcpy(s, text_.data() + pos_, static_cast<std::size_t>(got));
+    pos_ += static_cast<std::size_t>(got);
+    step_ = step_ % 7 + 1;
+    return got;
+  }
+
+ private:
+  std::string text_;
+  std::size_t pos_ = 0;
+  std::streamsize step_ = 1;
+};
+
+TEST(ProblemIoGrammar, TokensStraddlingEveryRefillBoundary) {
+  PowerLawInstanceOptions opt;
+  opt.n = 60;
+  opt.seed = 11;
+  const auto inst = make_power_law_instance(opt);
+  std::stringstream ss;
+  write_problem(ss, inst.problem);
+  for (const std::string& text :
+       {ss.str(), respell("\t", "\r\n", 2, same)}) {
+    TrickleBuf buf(text);
+    std::istream in(&buf);
+    expect_same_problem(read_problem(in), read_problem(std::string_view(text)));
+  }
+}
+
+TEST(ProblemIoGrammar, TruncatedLRecordReportsExactByte) {
+  const std::string text =
+      "NETALIGN-PROBLEM 1\nname x\nalpha 1 beta 2\ngraphA 1 0\n"
+      "graphB 1 0\nL 1 1 3\n0 0 1.0\n0 zz 1.0\n0 0 1.0\n";
+  const std::string want =
+      "read_problem: truncated L edge list at edge 1 (at byte " +
+      std::to_string(text.find("zz")) + ")";
+  EXPECT_EQ(error_of([&] { read_text(text); }), want);
+  EXPECT_EQ(error_of([&] { read_problem(std::string_view(text)); }), want);
+  TrickleBuf buf(text);
+  std::istream in(&buf);
+  EXPECT_EQ(error_of([&] { read_problem(in); }), want);
+  // Input that ends mid-record reports the input's length.
+  const std::string cut =
+      "NETALIGN-PROBLEM 1\nname x\nalpha 1 beta 2\ngraphA 1 0\n"
+      "graphB 1 0\nL 1 1 2\n0 0 1.0\n0 ";
+  EXPECT_EQ(error_of([&] { read_problem(std::string_view(cut)); }),
+            "read_problem: truncated L edge list at edge 1 (at byte " +
+                std::to_string(cut.size()) + ")");
 }
 
 }  // namespace

@@ -775,7 +775,10 @@ TEST(JobManager, CancelStormReachesQuiescence) {
   const std::string text = problem_text();
   std::vector<std::int64_t> ids;
   for (int i = 0; i < 24; ++i) {
-    const auto out = jobs.submit(tenant_job(text, 3, "t" + std::to_string(i % 3)));
+    // append, not "t" + to_string(...): GCC 12 reports a false -Wrestrict
+    // on operator+(const char*, string&&).
+    const auto out = jobs.submit(
+        tenant_job(text, 3, std::string("t").append(std::to_string(i % 3))));
     ASSERT_TRUE(out.accepted) << out.message;
     ids.push_back(out.job);
   }

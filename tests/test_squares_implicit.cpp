@@ -147,10 +147,15 @@ TEST(ImplicitSquares, CursorCachesLastRow) {
   }
   ASSERT_GT(imp->row_end(wide), imp->row_begin(wide));
   // The build's transpose base-count pass enumerates rows through the
-  // same pool, so compare stats deltas, not absolutes.
-  const ImplicitSquares::Stats before = imp->stats();
+  // same pool, so compare stats deltas, not absolutes. The pooled cursor
+  // may still cache `wide` from that pass (which thread enumerated it
+  // last is a scheduling accident), so move it to another row first.
+  ASSERT_GT(imp->num_rows(), 1);
+  ImplicitSquares::Stats before;
   {
     ImplicitSquares::Lease lease(*imp);
+    (void)lease.cols(wide == 0 ? 1 : 0);
+    before = imp->stats();
     const auto first = lease.cols(wide);
     const std::vector<vid_t> copy(first.begin(), first.end());
     const auto again = lease.cols(wide);  // served from the cached row
@@ -172,7 +177,7 @@ TEST(ImplicitSquares, TransposeAccessRequiresSupport) {
   EXPECT_FALSE(imp->transpose_support());
   EXPECT_EQ(imp->num_trans_chunks(), 0);
   ImplicitSquares::Lease lease(*imp);
-  EXPECT_NO_THROW(lease.cols(0));
+  EXPECT_NO_THROW((void)lease.cols(0));
   EXPECT_THROW(lease.begin_trans_chunk(0), std::logic_error);
 }
 
@@ -243,7 +248,7 @@ TEST(ImplicitSquares, SquaresModeStringsRoundTrip) {
   EXPECT_EQ(squares_mode_from_string("implicit"), SquaresMode::kImplicit);
   EXPECT_EQ(squares_mode_from_string("auto"), SquaresMode::kAuto);
   EXPECT_EQ(to_string(SquaresMode::kImplicit), "implicit");
-  EXPECT_THROW(squares_mode_from_string("eager"), std::invalid_argument);
+  EXPECT_THROW((void)squares_mode_from_string("eager"), std::invalid_argument);
 }
 
 /// Solver runs over both backends must agree bit-for-bit: same matching
