@@ -1,81 +1,32 @@
-// Robustness study: solution quality vs. injected network faults.
+// Robustness study: distributed matching under injected network faults.
 //
-// The distributed solvers (src/dist/) claim graceful degradation on a
+// The distributed matcher (src/dist/) claims graceful degradation on a
 // lossy fabric: the reliable channel preserves the matcher's guarantees
-// exactly under any drop rate < 1, and the iterative solvers absorb rank
-// stalls and lost replies as staleness rather than divergence. This bench
-// quantifies both claims on a seeded synthetic instance:
-//
-//  1. dist_matching under a drop-rate sweep: the matching weight must stay
-//     EQUAL to the fault-free run's (the protocol result is unique for
-//     distinct weights and the channel is exactly-once), while the
-//     retransmit/superstep overhead grows with the loss rate -- the
-//     measurable price of reliability;
-//  2. dist_mr and dist_bp under message loss and rank stalls: objective
-//     and overlap may move (stale multipliers / othermax values change the
-//     trajectory) but must stay in a useful band, and the staleness the
-//     run absorbed is reported next to the quality it cost.
+// exactly under any drop rate < 1. This bench quantifies that claim on a
+// seeded synthetic instance: under a drop-rate sweep the matching weight
+// must stay EQUAL to the fault-free run's (the protocol result is unique
+// for distinct weights and the channel is exactly-once), while the
+// retransmit/superstep overhead grows with the loss rate -- the
+// measurable price of reliability.
 //
 // Every number here is a deterministic function of (--seed, the plan
 // rates): no wall-clock fields. tools/check_robustness.sh runs this bench
 // twice per seed and asserts bit-identical output.
 #include <exception>
-#include <string>
 #include <vector>
 
 #include "common.hpp"
-#include "dist/dist_bp.hpp"
 #include "dist/dist_matching.hpp"
-#include "dist/dist_mr.hpp"
 
 using namespace netalign;
 using namespace netalign::bench;
 
-namespace {
-
-struct SolverPlan {
-  std::string label;
-  dist::FaultPlan plan;
-};
-
-std::vector<SolverPlan> solver_plans(std::uint64_t seed) {
-  std::vector<SolverPlan> out;
-  out.push_back({"perfect", {}});
-  for (const double drop : {0.1, 0.2}) {
-    dist::FaultPlan p;
-    p.seed = seed;
-    p.drop_rate = drop;
-    out.push_back({"drop=" + TextTable::fixed(drop, 2), p});
-  }
-  {
-    dist::FaultPlan p;
-    p.seed = seed;
-    p.stall_rate = 0.2;
-    p.max_stall = 2;
-    out.push_back({"stall=0.20", p});
-  }
-  {
-    dist::FaultPlan p;
-    p.seed = seed;
-    p.drop_rate = 0.1;
-    p.duplicate_rate = 0.1;
-    p.delay_rate = 0.1;
-    p.reorder_rate = 0.2;
-    p.stall_rate = 0.1;
-    out.push_back({"mixed", p});
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   CliParser cli(
-      "Fault sweep: distributed solver quality and overhead vs. injected "
-      "message loss, duplication, delay, reordering, and rank stalls.");
+      "Fault sweep: distributed matching quality and overhead vs. injected "
+      "message loss.");
   auto& seed = cli.add_int("seed", 7, "fault plan + instance seed");
   auto& ranks = cli.add_int("ranks", 4, "simulated ranks");
-  auto& iters = cli.add_int("iters", 10, "solver iterations");
   auto& n = cli.add_int("n", 60, "instance size (vertices per side)");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -85,15 +36,12 @@ int main(int argc, char** argv) try {
   popt.expected_degree = 3.0;
   const auto inst = make_power_law_instance(popt);
   const NetAlignProblem& p = inst.problem;
-  const SquaresMatrix S = SquaresMatrix::build(p);
   const std::vector<weight_t> w(p.L.weights().begin(), p.L.weights().end());
-  std::printf("# instance: |V_A|=%d |V_B|=%d |E_L|=%lld nnz(S)=%lld seed=%lld\n",
+  std::printf("# instance: |V_A|=%d |V_B|=%d |E_L|=%lld seed=%lld\n",
               p.A.num_vertices(), p.B.num_vertices(),
               static_cast<long long>(p.L.num_edges()),
-              static_cast<long long>(S.num_nonzeros()),
               static_cast<long long>(seed));
 
-  // --- 1. matching weight vs. drop rate ---------------------------------
   std::printf("\n## dist_matching: reliability under message loss\n");
   TextTable mt({"drop", "weight", "vs perfect", "card", "supersteps",
                 "messages", "dropped", "retransmits", "acks"});
@@ -121,53 +69,6 @@ int main(int argc, char** argv) try {
   std::printf("\nThe weight column is flat by design: the reliable channel "
               "restores\nexactly-once delivery, so losses cost supersteps "
               "and retransmits, not\nsolution quality.\n");
-
-  // --- 2. MR under faults ----------------------------------------------
-  std::printf("\n## dist_mr: degradation under faults (%lld iterations)\n",
-              static_cast<long long>(iters));
-  TextTable mr({"plan", "objective", "overlap", "stalled-iters",
-                "max-staleness", "dropped", "retransmits"});
-  for (const SolverPlan& sp : solver_plans(static_cast<std::uint64_t>(seed))) {
-    dist::DistMrOptions opt;
-    opt.num_ranks = static_cast<int>(ranks);
-    opt.max_iterations = static_cast<int>(iters);
-    opt.faults = sp.plan;
-    dist::DistMrStats stats;
-    const auto r = dist::distributed_klau_mr_align(p, S, opt, &stats);
-    mr.add_row({sp.label, TextTable::fixed(r.value.objective, 4),
-                TextTable::fixed(r.value.overlap, 1),
-                TextTable::num(static_cast<int64_t>(stats.stalled_iterations)),
-                TextTable::num(static_cast<int64_t>(stats.max_staleness)),
-                TextTable::num(static_cast<int64_t>(stats.fault_stats.dropped)),
-                TextTable::num(
-                    static_cast<int64_t>(stats.fault_stats.retransmits))});
-  }
-  mr.print();
-
-  // --- 3. BP under faults ----------------------------------------------
-  std::printf("\n## dist_bp: degradation under faults (%lld iterations)\n",
-              static_cast<long long>(iters));
-  TextTable bp({"plan", "objective", "overlap", "stalled-iters",
-                "stale-cols", "dropped", "retransmits"});
-  for (const SolverPlan& sp : solver_plans(static_cast<std::uint64_t>(seed))) {
-    dist::DistBpOptions opt;
-    opt.num_ranks = static_cast<int>(ranks);
-    opt.max_iterations = static_cast<int>(iters);
-    opt.faults = sp.plan;
-    dist::DistBpStats stats;
-    const auto r = dist::distributed_belief_prop_align(p, S, opt, &stats);
-    bp.add_row({sp.label, TextTable::fixed(r.value.objective, 4),
-                TextTable::fixed(r.value.overlap, 1),
-                TextTable::num(static_cast<int64_t>(stats.stalled_iterations)),
-                TextTable::num(static_cast<int64_t>(stats.stale_columns)),
-                TextTable::num(static_cast<int64_t>(stats.fault_stats.dropped)),
-                TextTable::num(
-                    static_cast<int64_t>(stats.fault_stats.retransmits))});
-  }
-  bp.print();
-  std::printf("\nEvery final matching above passed matching/verify inside "
-              "the solver;\nstaleness shifts the trajectory, never the "
-              "feasibility.\n");
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

@@ -314,12 +314,11 @@ BipartiteMatching distributed_locally_dominant_matching(
   if (stats) *stats = DistMatchStats{};
 
   std::unique_ptr<FaultInjector> owned_injector;
-  FaultInjector* injector = options.injector;
-  if (injector == nullptr && options.faults.any()) {
+  if (options.faults.any()) {
     owned_injector = std::make_unique<FaultInjector>(
         options.faults, options.counters, options.trace);
-    injector = owned_injector.get();
   }
+  FaultInjector* const injector = owned_injector.get();
 
   const vid_t n = L.num_a() + L.num_b();
   Partition part;

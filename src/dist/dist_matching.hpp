@@ -55,16 +55,10 @@ struct DistMatchOptions {
   /// fabric) keeps the synchronous propose/resolve path byte-identical to
   /// the fault-free substrate.
   FaultPlan faults;
-  /// Share a caller-owned injector (its PRNG stream and tallies continue
-  /// across nested runs, as in dist_mr's per-iteration matchings). Null =
-  /// construct one from `faults` when faults.any(). A non-null injector
-  /// implies the faulted protocol regardless of `faults`.
-  FaultInjector* injector = nullptr;
   /// Deadlock guard forwarded to BspRuntime::run.
   std::size_t max_supersteps = 1000000;
-  /// Telemetry sinks for a locally constructed injector (`fault.*` /
-  /// `rel.*` counters, `fault` trace events). Ignored when `injector` is
-  /// supplied -- the owner already wired its sinks. Null = disabled.
+  /// Telemetry sinks for the run's fault injector (`fault.*` / `rel.*`
+  /// counters, `fault` trace events). Null = disabled.
   obs::Counters* counters = nullptr;
   obs::TraceWriter* trace = nullptr;
 };
@@ -73,8 +67,7 @@ struct DistMatchStats {
   BspStats bsp;
   eid_t proposals = 0;  ///< proposal messages sent (first transmissions)
   eid_t notices = 0;    ///< matched-notification messages sent (ditto)
-  /// Snapshot of the injector's tallies after the run. For a shared
-  /// injector this accumulates over everything the owner ran through it.
+  /// Snapshot of the injector's tallies after the run.
   FaultStats faults;
 };
 

@@ -92,7 +92,6 @@ int FaultInjector::roll_stall(int rank) {
   const int k = 1 + static_cast<int>(rng_.uniform_int(
                         static_cast<std::uint64_t>(plan_.max_stall)));
   stats_.stalls += 1;
-  stats_.stall_steps += static_cast<std::size_t>(k);
   record("stall", rank, rank, k);
   return k;
 }

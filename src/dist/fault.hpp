@@ -1,6 +1,6 @@
 // Seeded, deterministic fault injection for the simulated BSP substrate.
 //
-// The BSP simulator (bsp.hpp, mailbox.hpp) assumes a perfect fabric:
+// The BSP simulator (bsp.hpp) assumes a perfect fabric:
 // in-order, exactly-once delivery and ranks that never pause. A real
 // MPI/RDMA deployment exhibits none of those guarantees under pressure, so
 // this layer lets any distributed run face an adversarial-but-reproducible
@@ -67,7 +67,6 @@ struct FaultStats {
   std::size_t delayed = 0;
   std::size_t reordered = 0;    ///< inboxes shuffled, not messages
   std::size_t stalls = 0;       ///< stall events
-  std::size_t stall_steps = 0;  ///< supersteps lost to stalls
   // ReliableChannel reactions:
   std::size_t retransmits = 0;
   std::size_t duplicates_suppressed = 0;
@@ -76,8 +75,7 @@ struct FaultStats {
 };
 
 /// Draws all fault decisions for one run. Not thread-safe (the BSP
-/// simulator is sequential); share one injector across nested runs (e.g.
-/// dist_mr's per-iteration matching) so the stream never restarts.
+/// simulator is sequential).
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan,

@@ -125,7 +125,7 @@ AlignResult belief_prop_align(const NetAlignProblem& p, const SquaresView& S,
   int start_iter = 1;
   if (!budget.resume_path.empty()) {
     const ckpt::ResumeState rs =
-        ckpt::load_for_resume(budget.resume_path, "bp", m, nnz, 0,
+        ckpt::load_for_resume(budget.resume_path, "bp", m, nnz,
                               "belief_prop_align", tracker, result, trace,
                               counters);
     io::ByteReader r(rs.checkpoint.section("bp.state").payload);
@@ -156,7 +156,7 @@ AlignResult belief_prop_align(const NetAlignProblem& p, const SquaresView& S,
     flush_batch();
     io::Checkpoint c;
     c.solver = "bp";
-    ckpt::write_meta(c, "bp", m, nnz, 0);
+    ckpt::write_meta(c, "bp", m, nnz);
     ckpt::write_progress(c, iter, tracker, result);
     io::ByteWriter state;
     state.pod_vector(y_prev);

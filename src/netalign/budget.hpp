@@ -8,13 +8,13 @@
 // wall-clock deadline, a checkpoint cadence and paths, and a cooperative
 // stop latch (set by the SIGTERM/SIGINT handler in util/stop.hpp).
 //
-// All five solvers (belief_prop, klau_mr, isorank, dist_bp, dist_mr)
-// check the budget at the top of each iteration: a tripped deadline or
-// stop latch writes a final checkpoint of the last *completed* iteration
-// and returns with `stopped_reason` set in the AlignResult. Resume is
-// bit-identical: only loop-carried state is checkpointed, and restoring
-// it replays the remaining iterations exactly as the uninterrupted run
-// would have computed them (tools/check_recovery.sh enforces this).
+// All three solvers (belief_prop, klau_mr, isorank) check the budget at
+// the top of each iteration: a tripped deadline or stop latch writes a
+// final checkpoint of the last *completed* iteration and returns with
+// `stopped_reason` set in the AlignResult. Resume is bit-identical: only
+// loop-carried state is checkpointed, and restoring it replays the
+// remaining iterations exactly as the uninterrupted run would have
+// computed them (tools/check_recovery.sh enforces this).
 #pragma once
 
 #include <atomic>

@@ -70,7 +70,7 @@ AlignResult isorank_align(const NetAlignProblem& p, const SquaresView& S,
   int start_iter = 1;
   if (!budget.resume_path.empty()) {
     const ckpt::ResumeState rs =
-        ckpt::load_for_resume(budget.resume_path, "isorank", m, nnz, 0,
+        ckpt::load_for_resume(budget.resume_path, "isorank", m, nnz,
                               "isorank_align", tracker, result, trace,
                               counters);
     io::ByteReader r(rs.checkpoint.section("isorank.state").payload);
@@ -89,7 +89,7 @@ AlignResult isorank_align(const NetAlignProblem& p, const SquaresView& S,
     if (budget.checkpoint_path.empty() || iter == last_snapshot_iter) return;
     io::Checkpoint c;
     c.solver = "isorank";
-    ckpt::write_meta(c, "isorank", m, nnz, 0);
+    ckpt::write_meta(c, "isorank", m, nnz);
     ckpt::write_progress(c, iter, tracker, result);
     io::ByteWriter w;
     w.pod_vector(x);

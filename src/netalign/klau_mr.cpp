@@ -93,7 +93,7 @@ AlignResult klau_mr_align(const NetAlignProblem& p, const SquaresView& S,
   int start_iter = 1;
   if (!budget.resume_path.empty()) {
     const ckpt::ResumeState rs =
-        ckpt::load_for_resume(budget.resume_path, "mr", m, nnz, 0,
+        ckpt::load_for_resume(budget.resume_path, "mr", m, nnz,
                               "klau_mr_align", tracker, result, trace,
                               counters);
     io::ByteReader r(rs.checkpoint.section("mr.state").payload);
@@ -118,7 +118,7 @@ AlignResult klau_mr_align(const NetAlignProblem& p, const SquaresView& S,
     if (budget.checkpoint_path.empty() || iter == last_snapshot_iter) return;
     io::Checkpoint c;
     c.solver = "mr";
-    ckpt::write_meta(c, "mr", m, nnz, 0);
+    ckpt::write_meta(c, "mr", m, nnz);
     ckpt::write_progress(c, iter, tracker, result);
     io::ByteWriter w;
     w.pod_vector(U);

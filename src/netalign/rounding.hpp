@@ -105,7 +105,7 @@ class BestSolutionTracker {
   int best_iter_ = -1;
 };
 
-/// Uniform solver tail shared by BP, MR, IsoRank and the dist solvers:
+/// Uniform solver tail shared by BP, MR and IsoRank:
 /// copy the tracker's best rounding (matching, value, best_iteration)
 /// into the result, then optionally re-round its heuristic vector with
 /// the exact matcher (paper Section VII), keeping whichever scores

@@ -8,17 +8,17 @@
 namespace netalign::ckpt {
 
 void write_meta(io::Checkpoint& c, const std::string& solver, eid_t m,
-                eid_t nnz, int num_ranks) {
+                eid_t nnz) {
   io::ByteWriter w;
   w.str(solver);
   w.i64(m);
   w.i64(nnz);
-  w.i32(num_ranks);
+  w.i32(0);
   c.add(kMetaSection).payload = w.take();
 }
 
 void check_meta(const io::Checkpoint& c, const std::string& solver, eid_t m,
-                eid_t nnz, int num_ranks, const char* where) {
+                eid_t nnz, const char* where) {
   io::ByteReader r(c.section(kMetaSection).payload);
   const std::string got_solver = r.str();
   const eid_t got_m = r.i64();
@@ -33,10 +33,7 @@ void check_meta(const io::Checkpoint& c, const std::string& solver, eid_t m,
     fail("solver '" + got_solver + "' != '" + solver + "'");
   }
   if (got_m != m || got_nnz != nnz) fail("problem shape differs");
-  if (got_ranks != num_ranks) {
-    fail("rank count " + std::to_string(got_ranks) + " != " +
-         std::to_string(num_ranks));
-  }
+  if (got_ranks != 0) fail("rank count " + std::to_string(got_ranks));
 }
 
 void write_progress(io::Checkpoint& c, int iter,
@@ -79,14 +76,13 @@ void commit_checkpoint(const io::Checkpoint& c, const std::string& path,
 
 ResumeState load_for_resume(const std::string& path,
                             const std::string& solver, eid_t m, eid_t nnz,
-                            int num_ranks, const char* where,
-                            BestSolutionTracker& tracker, AlignResult& result,
-                            obs::TraceWriter* trace,
+                            const char* where, BestSolutionTracker& tracker,
+                            AlignResult& result, obs::TraceWriter* trace,
                             obs::Counters* counters) {
   bool used_previous = false;
   ResumeState rs;
   rs.checkpoint = io::read_checkpoint_with_fallback(path, &used_previous);
-  check_meta(rs.checkpoint, solver, m, nnz, num_ranks, where);
+  check_meta(rs.checkpoint, solver, m, nnz, where);
   rs.iter = read_progress(rs.checkpoint, tracker, result);
   if (trace != nullptr) {
     trace->event("resume", {{"path", path},

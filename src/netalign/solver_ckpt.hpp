@@ -1,13 +1,13 @@
 // Shared checkpoint plumbing for the iterative solvers.
 //
 // Every solver checkpoint has the same skeleton: a "meta" section tying
-// the file to one (solver, problem shape, rank count) so a checkpoint can
-// never be restored against the wrong problem, and a "progress" section
+// the file to one (solver, problem shape) so a checkpoint can never be
+// restored against the wrong problem, and a "progress" section
 // holding the loop position, the best-so-far tracker, and the objective
 // histories. Solver-specific sections (BP messages, MR multipliers, ...)
 // ride next to them. This header centralizes that skeleton plus the
 // commit/load paths with their `checkpoint`/`resume` trace events and
-// ckpt.* counters, so the five solvers only serialize what is uniquely
+// ckpt.* counters, so the three solvers only serialize what is uniquely
 // theirs (docs/ARCHITECTURE.md "Preemption & recovery").
 #pragma once
 
@@ -27,15 +27,16 @@ namespace netalign::ckpt {
 inline constexpr char kMetaSection[] = "meta";
 inline constexpr char kProgressSection[] = "progress";
 
-/// Append the "meta" section: solver tag, |E_L|, nnz(S), simulated rank
-/// count (0 for the shared-memory solvers).
+/// Append the "meta" section: solver tag, |E_L|, nnz(S), and a rank
+/// field that is always 0 (it held the simulated rank count of the
+/// retired distributed solvers; kept so the layout never changed).
 void write_meta(io::Checkpoint& c, const std::string& solver, eid_t m,
-                eid_t nnz, int num_ranks);
+                eid_t nnz);
 
 /// Validate a loaded checkpoint's "meta" against the resuming
 /// configuration; throws std::runtime_error naming the first mismatch.
 void check_meta(const io::Checkpoint& c, const std::string& solver, eid_t m,
-                eid_t nnz, int num_ranks, const char* where);
+                eid_t nnz, const char* where);
 
 /// Append the "progress" section: last completed iteration, tracker
 /// state, and both histories.
@@ -65,7 +66,7 @@ struct ResumeState {
 /// ckpt.restores (and ckpt.fallbacks when the `.prev` generation loaded).
 [[nodiscard]] ResumeState load_for_resume(
     const std::string& path, const std::string& solver, eid_t m, eid_t nnz,
-    int num_ranks, const char* where, BestSolutionTracker& tracker,
-    AlignResult& result, obs::TraceWriter* trace, obs::Counters* counters);
+    const char* where, BestSolutionTracker& tracker, AlignResult& result,
+    obs::TraceWriter* trace, obs::Counters* counters);
 
 }  // namespace netalign::ckpt

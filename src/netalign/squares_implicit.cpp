@@ -29,6 +29,20 @@ struct ImplicitSquares::Cursor {
 
 ImplicitSquares::~ImplicitSquares() = default;
 
+namespace {
+
+/// Transpose chunk count for a row count of m: the requested count, or
+/// 2 * max_threads() by default, clamped to [1, max(m, 1)].
+std::int64_t trans_chunk_count(const ImplicitSquares::BuildOptions& options,
+                               vid_t m) {
+  const std::int64_t nc = options.num_chunks > 0
+                              ? options.num_chunks
+                              : std::max(1, 2 * max_threads());
+  return std::min<std::int64_t>(nc, std::max<vid_t>(m, 1));
+}
+
+}  // namespace
+
 std::unique_ptr<ImplicitSquares> ImplicitSquares::build(
     const NetAlignProblem& p) {
   return build(p, squares_row_ptr(p), BuildOptions{});
@@ -72,10 +86,7 @@ void ImplicitSquares::init(const NetAlignProblem& p, std::vector<eid_t> ptr,
   // nnz-balanced chunk boundaries: chunk c starts at the first row whose
   // prefix reaches c/nc of the nonzeros. Empty chunks (tiny or skewed
   // instances) are harmless -- their row range is empty.
-  std::int64_t nc = options.num_chunks > 0
-                        ? options.num_chunks
-                        : std::max(1, 2 * max_threads());
-  nc = std::min<std::int64_t>(nc, std::max<vid_t>(m, 1));
+  const std::int64_t nc = trans_chunk_count(options, m);
   chunk_rows_.resize(static_cast<std::size_t>(nc) + 1);
   chunk_rows_.front() = 0;
   chunk_rows_.back() = m;
@@ -212,6 +223,17 @@ std::uint64_t ImplicitSquares::structure_bytes() const noexcept {
                         chunk_rows_.size() * sizeof(vid_t);
   for (const auto& cnt : base_cnt_) bytes += cnt.size() * sizeof(vid_t);
   return bytes;
+}
+
+std::uint64_t ImplicitSquares::estimate_structure_bytes(
+    std::span<const eid_t> ptr, const BuildOptions& options) {
+  std::uint64_t bytes = ptr.size() * sizeof(eid_t);
+  if (!options.transpose_support) return bytes;
+  // chunk_rows_ (nc + 1 boundaries) plus nc base-count tables of m entries.
+  const auto m = static_cast<vid_t>(ptr.size() - 1);
+  const auto nc = static_cast<std::uint64_t>(trans_chunk_count(options, m));
+  return bytes + (nc + 1) * sizeof(vid_t) +
+         nc * static_cast<std::uint64_t>(m) * sizeof(vid_t);
 }
 
 ImplicitSquares::Stats ImplicitSquares::stats() const {

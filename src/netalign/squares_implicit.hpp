@@ -108,6 +108,10 @@ class ImplicitSquares {
   /// transpose chunk tables. Per-cursor working memory (mark array, row
   /// buffers) is excluded; it scales with threads, not with nnz.
   [[nodiscard]] std::uint64_t structure_bytes() const noexcept;
+  /// structure_bytes() of the backend build(p, ptr, options) would make,
+  /// computed from the counting pass alone (nothing is enumerated).
+  [[nodiscard]] static std::uint64_t estimate_structure_bytes(
+      std::span<const eid_t> ptr, const BuildOptions& options);
 
   /// Lifetime enumeration statistics summed over every cursor the pool
   /// ever created. Read between solves (leases outstanding while reading

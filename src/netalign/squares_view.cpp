@@ -30,14 +30,19 @@ SquaresBackend build_squares_backend(const NetAlignProblem& p,
   backend.nnz = ptr.back();
   backend.explicit_bytes = explicit_squares_bytes(ptr);
 
+  ImplicitSquares::BuildOptions bo;
+  bo.transpose_support = options.transpose_support;
+  bo.num_chunks = options.num_chunks;
+  // `auto` leaves explicit only when that is over budget AND the implicit
+  // structure would actually be smaller; with nnz(S) below the chunk
+  // tables' |E_L| entries per chunk, implicit would cost more memory.
   const bool implicit =
       options.mode == SquaresMode::kImplicit ||
       (options.mode == SquaresMode::kAuto &&
-       backend.explicit_bytes > options.budget_bytes);
+       backend.explicit_bytes > options.budget_bytes &&
+       ImplicitSquares::estimate_structure_bytes(ptr, bo) <
+           backend.explicit_bytes);
   if (implicit) {
-    ImplicitSquares::BuildOptions bo;
-    bo.transpose_support = options.transpose_support;
-    bo.num_chunks = options.num_chunks;
     backend.implicit = ImplicitSquares::build(p, std::move(ptr), bo);
   } else {
     backend.matrix.emplace(SquaresMatrix::build(p, std::move(ptr)));

@@ -57,12 +57,6 @@ class SquaresView {
   [[nodiscard]] bool is_implicit() const noexcept {
     return implicit_ != nullptr;
   }
-  /// The explicit backend, or nullptr under implicit mode. Consumers that
-  /// genuinely need the materialized CSR (the dist solvers' partitioners)
-  /// check this and reject implicit views up front.
-  [[nodiscard]] const SquaresMatrix* explicit_matrix() const noexcept {
-    return matrix_;
-  }
 
   /// Serial random row reads for reductions that manage their own
   /// parallelism (evaluate_objective's deterministic chunks). The lease
@@ -180,7 +174,8 @@ enum class SquaresMode {
 struct SquaresBackendOptions {
   SquaresMode mode = SquaresMode::kExplicit;
   /// `auto` threshold: bytes the explicit structure may occupy before the
-  /// selection flips to implicit.
+  /// selection flips to implicit (only if the implicit structure is
+  /// estimated smaller than the explicit one).
   std::uint64_t budget_bytes = std::uint64_t{2048} << 20;
   /// Forwarded to ImplicitSquares (BP/MR need transpose tables; IsoRank
   /// does not).

@@ -9,8 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dist/dist_bp.hpp"
-#include "dist/dist_mr.hpp"
 #include "netalign/belief_prop.hpp"
 #include "netalign/isorank.hpp"
 #include "netalign/klau_mr.hpp"
@@ -144,7 +142,6 @@ JournalJob JobManager::to_journal_locked(const Job& job) const {
   j.spec.matcher = job.spec.matcher;
   j.spec.iters = job.spec.iters;
   j.spec.batch = job.spec.batch;
-  j.spec.ranks = job.spec.ranks;
   j.spec.gamma = job.spec.gamma;
   j.spec.deadline_seconds = job.spec.deadline_seconds;
   j.spec.tag = job.spec.tag;
@@ -780,32 +777,6 @@ AlignResult run_solver(const SubmitParams& spec, const CachedProblem& cp,
     opt.budget = budget;
     return isorank_align(cp.problem, cp.squares.view(), opt);
   }
-  if (spec.solver == "dist-bp") {
-    dist::DistBpOptions opt;
-    opt.num_ranks = static_cast<int>(spec.ranks);
-    opt.max_iterations = iters;
-    opt.matcher = matcher;
-    if (spec.gamma > 0.0) opt.gamma = spec.gamma;
-    opt.trace = trace;
-    opt.counters = counters;
-    opt.budget = budget;
-    // Dist solvers need the materialized CSR for their edge-cut
-    // partitioning; run_job forces explicit mode for them, so the
-    // backend's matrix is always populated here.
-    return dist::distributed_belief_prop_align(cp.problem, *cp.squares.matrix,
-                                               opt);
-  }
-  if (spec.solver == "dist-mr") {
-    dist::DistMrOptions opt;
-    opt.num_ranks = static_cast<int>(spec.ranks);
-    opt.max_iterations = iters;
-    if (spec.gamma > 0.0) opt.gamma = spec.gamma;
-    opt.trace = trace;
-    opt.counters = counters;
-    opt.budget = budget;
-    return dist::distributed_klau_mr_align(cp.problem, *cp.squares.matrix,
-                                           opt);
-  }
   throw std::invalid_argument("unknown solver '" + spec.solver + "'");
 }
 
@@ -890,10 +861,7 @@ JobState JobManager::run_job(Job& job) {
   }
 
   // Resolve the squares backend before cache keying: the per-job field
-  // wins over the server default, and dist-* solvers always force
-  // explicit (their partitioners need the materialized CSR; an implicit
-  // request for them was already rejected at parse time, but the server
-  // default or `auto` could still point them at the wrong backend).
+  // wins over the server default.
   SquaresBackendOptions squares_opts;
   squares_opts.budget_bytes = std::uint64_t{options_.squares_max_mb} << 20;
   try {
@@ -903,9 +871,6 @@ JobState JobManager::run_job(Job& job) {
     squares_opts.mode = squares_mode_from_string(mode_name);
   } catch (const std::exception& e) {
     return fail(std::string("bad squares_mode: ") + e.what());
-  }
-  if (job.spec.solver.rfind("dist-", 0) == 0) {
-    squares_opts.mode = SquaresMode::kExplicit;
   }
 
   std::shared_ptr<const CachedProblem> cp;

@@ -70,7 +70,6 @@ std::string submit_record(const JournalJob& j) {
   kv_string(s, "matcher", j.spec.matcher);
   kv_int(s, "iters", j.spec.iters);
   kv_int(s, "batch", j.spec.batch);
-  kv_int(s, "ranks", j.spec.ranks);
   kv_double(s, "gamma", j.spec.gamma);
   kv_double(s, "deadline_seconds", j.spec.deadline_seconds);
   kv_string(s, "tag", j.spec.tag);
@@ -224,7 +223,6 @@ JournalReplay replay_journal_file(const std::string& path) {
       j.spec.matcher = rep_string(event, "matcher", "approx");
       j.spec.iters = rep_int(event, "iters", 100);
       j.spec.batch = rep_int(event, "batch", 1);
-      j.spec.ranks = rep_int(event, "ranks", 4);
       j.spec.gamma = rep_double(event, "gamma");
       j.spec.deadline_seconds = rep_double(event, "deadline_seconds");
       j.spec.tag = rep_string(event, "tag");

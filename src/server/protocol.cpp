@@ -137,8 +137,7 @@ std::int64_t require_job(const obs::JsonValue& doc) {
 }
 
 bool known_solver(const std::string& s) {
-  return s == "bp" || s == "mr" || s == "isorank" || s == "dist-bp" ||
-         s == "dist-mr";
+  return s == "bp" || s == "mr" || s == "isorank";
 }
 
 bool known_matcher(const std::string& s) {
@@ -198,7 +197,7 @@ bool parse_request(std::string_view line, Request& out, ErrorCode& code,
       p.solver = get_string(doc, "solver", p.solver);
       if (!known_solver(p.solver)) {
         throw FieldError{"unknown solver '" + p.solver +
-                         "' (bp | mr | isorank | dist-bp | dist-mr)"};
+                         "' (bp | mr | isorank)"};
       }
       p.matcher = get_string(doc, "matcher", p.matcher);
       if (!known_matcher(p.matcher)) {
@@ -208,7 +207,6 @@ bool parse_request(std::string_view line, Request& out, ErrorCode& code,
       }
       p.iters = get_int(doc, "iters", p.iters);
       p.batch = get_int(doc, "batch", p.batch);
-      p.ranks = get_int(doc, "ranks", p.ranks);
       p.gamma = get_double(doc, "gamma", p.gamma);
       p.deadline_seconds = get_double(doc, "deadline_seconds", 0.0);
       p.tag = get_string(doc, "tag", "");
@@ -219,13 +217,6 @@ bool parse_request(std::string_view line, Request& out, ErrorCode& code,
         throw FieldError{"unknown squares_mode '" + p.squares_mode +
                          "' (explicit | implicit | auto)"};
       }
-      if (p.squares_mode == "implicit" &&
-          p.solver.rfind("dist-", 0) == 0) {
-        // The dist-* solvers partition the explicit CSR by edge cut;
-        // there is no implicit path for them.
-        throw FieldError{
-            "squares_mode=implicit is not supported for dist-* solvers"};
-      }
       p.request_id = get_string(doc, "request_id", "");
       if (p.request_id.size() > 200) {
         // The token is journaled with every submit and indexed forever
@@ -233,9 +224,9 @@ bool parse_request(std::string_view line, Request& out, ErrorCode& code,
         throw FieldError{"request_id must be at most 200 bytes"};
       }
       if (p.iters < 0 || p.iters > kMaxSubmitInt || p.batch < 1 ||
-          p.batch > kMaxSubmitInt || p.ranks < 1 || p.ranks > kMaxSubmitInt ||
-          p.gamma < 0.0 || p.deadline_seconds < 0.0 ||
-          !std::isfinite(p.gamma) || !std::isfinite(p.deadline_seconds)) {
+          p.batch > kMaxSubmitInt || p.gamma < 0.0 ||
+          p.deadline_seconds < 0.0 || !std::isfinite(p.gamma) ||
+          !std::isfinite(p.deadline_seconds)) {
         throw FieldError{"submit parameter out of range"};
       }
     } else if (name == "status") {

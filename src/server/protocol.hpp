@@ -31,11 +31,10 @@ inline constexpr std::int64_t kProtocolVersion = 1;
 /// can do to server memory.
 inline constexpr std::size_t kDefaultMaxRequestBytes = 8u << 20;
 
-/// Upper bound on submit's iters/batch/ranks. All three feed solver
-/// `int` options, and iters doubles as the job's DRR scheduling cost,
-/// so an absurd value must die as bad_request at parse time -- not as
-/// an int overflow in the solver or a scheduler stall under the job
-/// lock.
+/// Upper bound on submit's iters/batch. Both feed solver `int` options,
+/// and iters doubles as the job's DRR scheduling cost, so an absurd value
+/// must die as bad_request at parse time -- not as an int overflow in the
+/// solver or a scheduler stall under the job lock.
 inline constexpr std::int64_t kMaxSubmitInt = 1'000'000'000;
 
 /// Error taxonomy (the `error.code` field of a failure response).
@@ -80,11 +79,10 @@ enum class Method {
 struct SubmitParams {
   std::string problem_text;  ///< inline .nap content (`problem` field)
   std::string problem_path;  ///< server-local path (`problem_path` field)
-  std::string solver = "bp";  ///< bp | mr | isorank | dist-bp | dist-mr
+  std::string solver = "bp";  ///< bp | mr | isorank
   std::string matcher = "approx";
   std::int64_t iters = 100;
   std::int64_t batch = 1;      ///< BP rounding batch size
-  std::int64_t ranks = 4;      ///< dist-* simulated ranks
   double gamma = 0.0;          ///< 0 = solver default
   double deadline_seconds = 0.0;
   std::string tag;             ///< client label echoed by status/result
@@ -101,8 +99,6 @@ struct SubmitParams {
   /// Squares backend: "explicit" | "implicit" | "auto", or empty for the
   /// server-wide default (ServerOptions::squares_mode). Not part of the
   /// job's content key; the cache keys (problem, resolved mode) pairs.
-  /// Rejected at parse time for dist-* solvers, which need the explicit
-  /// CSR for their edge-cut partitioning.
   std::string squares_mode;
 };
 

@@ -19,12 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "dist/dist_bp.hpp"
-#include "dist/dist_mr.hpp"
 #include "matching/verify.hpp"
 #include "netalign/belief_prop.hpp"
 #include "netalign/isorank.hpp"
 #include "netalign/klau_mr.hpp"
+#include "netalign/solver_ckpt.hpp"
 #include "netalign/synthetic.hpp"
 
 namespace netalign {
@@ -350,70 +349,6 @@ TEST(ResumeEquivalence, IsoRank) {
   remove_generations(path);
 }
 
-TEST(ResumeEquivalence, DistBp) {
-  const auto inst = small_instance(14);
-  const auto S = SquaresMatrix::build(inst.problem);
-  const std::string path = tmp_path("dist_bp.ckpt");
-  remove_generations(path);
-
-  dist::DistBpOptions full;
-  full.num_ranks = 3;
-  full.max_iterations = 8;
-  dist::DistBpStats full_stats;
-  const auto uninterrupted =
-      dist::distributed_belief_prop_align(inst.problem, S, full, &full_stats);
-
-  dist::DistBpOptions part = full;
-  part.max_iterations = 3;
-  part.budget.checkpoint_path = path;
-  part.budget.checkpoint_every = 1;
-  (void)dist::distributed_belief_prop_align(inst.problem, S, part);
-
-  dist::DistBpOptions rest = full;
-  rest.budget.resume_path = path;
-  dist::DistBpStats resumed_stats;
-  const auto resumed = dist::distributed_belief_prop_align(inst.problem, S,
-                                                           rest,
-                                                           &resumed_stats);
-  EXPECT_EQ(resumed.resumed_from, 3);
-  expect_identical(uninterrupted, resumed);
-  // BSP traffic continues across the restart instead of restarting at 0.
-  EXPECT_EQ(resumed_stats.bsp.messages, full_stats.bsp.messages);
-  EXPECT_EQ(resumed_stats.gather_bytes, full_stats.gather_bytes);
-  remove_generations(path);
-}
-
-TEST(ResumeEquivalence, DistMr) {
-  const auto inst = small_instance(15);
-  const auto S = SquaresMatrix::build(inst.problem);
-  const std::string path = tmp_path("dist_mr.ckpt");
-  remove_generations(path);
-
-  dist::DistMrOptions full;
-  full.num_ranks = 3;
-  full.max_iterations = 8;
-  dist::DistMrStats full_stats;
-  const auto uninterrupted =
-      dist::distributed_klau_mr_align(inst.problem, S, full, &full_stats);
-
-  dist::DistMrOptions part = full;
-  part.max_iterations = 5;
-  part.budget.checkpoint_path = path;
-  part.budget.checkpoint_every = 1;
-  (void)dist::distributed_klau_mr_align(inst.problem, S, part);
-
-  dist::DistMrOptions rest = full;
-  rest.budget.resume_path = path;
-  dist::DistMrStats resumed_stats;
-  const auto resumed =
-      dist::distributed_klau_mr_align(inst.problem, S, rest, &resumed_stats);
-  EXPECT_EQ(resumed.resumed_from, 5);
-  expect_identical(uninterrupted, resumed);
-  EXPECT_EQ(uninterrupted.best_upper_bound, resumed.best_upper_bound);
-  EXPECT_EQ(resumed_stats.bsp.messages, full_stats.bsp.messages);
-  remove_generations(path);
-}
-
 TEST(ResumeEquivalence, RepeatedResumesStillMatch) {
   // Resume, run two more iterations, checkpoint again, resume again: the
   // chain of three processes must equal one uninterrupted run.
@@ -557,22 +492,28 @@ TEST(BudgetStop, MetaMismatchIsRejected) {
   remove_generations(path);
 }
 
-TEST(BudgetStop, FaultedDistRunRefusesCheckpointing) {
-  const auto inst = small_instance(23);
-  const auto S = SquaresMatrix::build(inst.problem);
-  dist::DistMrOptions opt;
-  opt.max_iterations = 3;
-  opt.faults.drop_rate = 0.1;
-  opt.budget.checkpoint_path = tmp_path("refused.ckpt");
-  EXPECT_THROW((void)dist::distributed_klau_mr_align(inst.problem, S, opt),
-               std::invalid_argument);
-  dist::DistBpOptions bp;
-  bp.max_iterations = 3;
-  bp.faults.stall_rate = 0.1;
-  bp.budget.resume_path = tmp_path("refused.ckpt");
-  EXPECT_THROW(
-      (void)dist::distributed_belief_prop_align(inst.problem, S, bp),
-      std::invalid_argument);
+TEST(BudgetStop, MetaKeepsTheZeroRankFieldOfEarlierVersions) {
+  // The meta layout predates the removal of the simulated distributed
+  // solvers: solver tag, |E_L|, nnz(S), then an i32 rank count that the
+  // shared-memory solvers always wrote as 0. Keeping that field (and
+  // requiring 0) lets checkpoints from earlier versions resume unchanged.
+  auto legacy_meta = [](std::int32_t ranks) {
+    io::ByteWriter w;
+    w.str("mr");
+    w.i64(40);
+    w.i64(17);
+    w.i32(ranks);
+    return w.take();
+  };
+  io::Checkpoint c;
+  ckpt::write_meta(c, "mr", 40, 17);
+  EXPECT_EQ(c.section(ckpt::kMetaSection).payload, legacy_meta(0));
+  EXPECT_NO_THROW(ckpt::check_meta(c, "mr", 40, 17, "test"));
+
+  io::Checkpoint ranked;
+  ranked.add(ckpt::kMetaSection).payload = legacy_meta(3);
+  EXPECT_THROW(ckpt::check_meta(ranked, "mr", 40, 17, "test"),
+               std::runtime_error);
 }
 
 TEST(BudgetStop, DeadlineRunKeepsPartialHistory) {

@@ -1,11 +1,10 @@
 // Fault-injection suite (CTest labels: tier1, fault): the distributed
-// solvers must keep their guarantees on an adversarial-but-reproducible
+// matcher must keep its guarantees on an adversarial-but-reproducible
 // fabric. Three properties anchor the tests (docs/ARCHITECTURE.md "Fault
 // model & reliable delivery"):
 //  - survival: with any plan that allows eventual delivery (drop_rate < 1)
 //    dist_matching terminates and still produces a valid, maximal,
-//    half-approximate matching; dist_mr / dist_bp terminate under rank
-//    stalls and report the staleness they absorbed;
+//    half-approximate matching, rank stalls included;
 //  - determinism: the same (plan, program) pair replays bit-identically,
 //    matchings and fault tallies alike;
 //  - zero-cost default: an all-zero plan is byte-identical in behavior and
@@ -18,13 +17,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "dist/dist_bp.hpp"
 #include "dist/dist_matching.hpp"
-#include "dist/dist_mr.hpp"
 #include "helpers.hpp"
 #include "matching/exact_mwm.hpp"
 #include "matching/verify.hpp"
-#include "netalign/synthetic.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -34,8 +30,6 @@ namespace {
 
 using dist::DistMatchOptions;
 using dist::DistMatchStats;
-using dist::distributed_belief_prop_align;
-using dist::distributed_klau_mr_align;
 using dist::distributed_locally_dominant_matching;
 using dist::FaultInjector;
 using dist::FaultPlan;
@@ -48,14 +42,6 @@ FaultPlan lossy_plan(std::uint64_t seed, double drop) {
   plan.seed = seed;
   plan.drop_rate = drop;
   return plan;
-}
-
-SyntheticInstance small_instance(std::uint64_t seed) {
-  PowerLawInstanceOptions opt;
-  opt.n = 40;
-  opt.seed = seed;
-  opt.expected_degree = 3.0;
-  return make_power_law_instance(opt);
 }
 
 TEST(FaultPlan, ValidateRejectsBadRatesAndBounds) {
@@ -283,151 +269,6 @@ TEST(FaultMatching, CountersAndTraceRecordInjectedFaults) {
             stats.faults.dropped + stats.faults.duplicated +
                 stats.faults.delayed + stats.faults.reordered +
                 stats.faults.stalls);
-}
-
-TEST(FaultMr, TerminatesUnderStallsAndReportsStaleness) {
-  const auto inst = small_instance(11);
-  const auto S = SquaresMatrix::build(inst.problem);
-  dist::DistMrOptions opt;
-  opt.num_ranks = 4;
-  opt.max_iterations = 12;
-  opt.faults.seed = 88;
-  opt.faults.stall_rate = 0.3;
-  opt.faults.max_stall = 2;
-  dist::DistMrStats stats;
-  const auto r = distributed_klau_mr_align(inst.problem, S, opt, &stats);
-  EXPECT_TRUE(is_valid_matching(inst.problem.L, r.matching));
-  EXPECT_GT(stats.stalled_iterations, 0u);
-  EXPECT_GE(stats.max_staleness, 1u);
-  EXPECT_GT(stats.fault_stats.stalls, 0u);
-}
-
-TEST(FaultMr, SurvivesMessageFaults) {
-  const auto inst = small_instance(12);
-  const auto S = SquaresMatrix::build(inst.problem);
-  dist::DistMrOptions opt;
-  opt.num_ranks = 4;
-  opt.max_iterations = 10;
-  opt.faults.seed = 13;
-  opt.faults.drop_rate = 0.15;
-  opt.faults.duplicate_rate = 0.1;
-  opt.faults.delay_rate = 0.1;
-  dist::DistMrStats stats;
-  const auto r = distributed_klau_mr_align(inst.problem, S, opt, &stats);
-  EXPECT_TRUE(is_valid_matching(inst.problem.L, r.matching));
-  EXPECT_GT(stats.fault_stats.dropped, 0u);
-  EXPECT_GT(r.value.objective, 0.0);
-}
-
-TEST(FaultMr, DeterministicReplayForSameSeed) {
-  const auto inst = small_instance(13);
-  const auto S = SquaresMatrix::build(inst.problem);
-  dist::DistMrOptions opt;
-  opt.num_ranks = 4;
-  opt.max_iterations = 10;
-  opt.faults.seed = 321;
-  opt.faults.drop_rate = 0.1;
-  opt.faults.stall_rate = 0.2;
-  dist::DistMrStats s1, s2;
-  const auto r1 = distributed_klau_mr_align(inst.problem, S, opt, &s1);
-  const auto r2 = distributed_klau_mr_align(inst.problem, S, opt, &s2);
-  EXPECT_EQ(r1.matching.mate_a, r2.matching.mate_a);
-  EXPECT_DOUBLE_EQ(r1.value.objective, r2.value.objective);
-  EXPECT_EQ(s1.fault_stats.dropped, s2.fault_stats.dropped);
-  EXPECT_EQ(s1.fault_stats.stalls, s2.fault_stats.stalls);
-  EXPECT_EQ(s1.stalled_iterations, s2.stalled_iterations);
-  EXPECT_EQ(s1.max_staleness, s2.max_staleness);
-  EXPECT_EQ(s1.bsp.messages, s2.bsp.messages);
-}
-
-TEST(FaultMr, ZeroRatePlanMatchesFaultFreeRunExactly) {
-  const auto inst = small_instance(14);
-  const auto S = SquaresMatrix::build(inst.problem);
-  dist::DistMrOptions plain;
-  plain.num_ranks = 3;
-  plain.max_iterations = 8;
-  dist::DistMrStats sp;
-  const auto rp = distributed_klau_mr_align(inst.problem, S, plain, &sp);
-
-  dist::DistMrOptions zeroed = plain;
-  zeroed.faults.seed = 555;
-  dist::DistMrStats sz;
-  const auto rz = distributed_klau_mr_align(inst.problem, S, zeroed, &sz);
-
-  EXPECT_EQ(rp.matching.mate_a, rz.matching.mate_a);
-  EXPECT_DOUBLE_EQ(rp.value.objective, rz.value.objective);
-  EXPECT_EQ(sp.bsp.supersteps, sz.bsp.supersteps);
-  EXPECT_EQ(sp.bsp.messages, sz.bsp.messages);
-  EXPECT_EQ(sp.bsp.bytes, sz.bsp.bytes);
-  EXPECT_EQ(sz.stalled_iterations, 0u);
-  EXPECT_EQ(sz.fault_stats.dropped, 0u);
-}
-
-TEST(FaultBp, TerminatesUnderStallsAndMessageLoss) {
-  std::size_t stale_columns = 0;
-  for (std::uint64_t seed : {21u, 22u, 23u}) {
-    const auto inst = small_instance(seed);
-    const auto S = SquaresMatrix::build(inst.problem);
-    dist::DistBpOptions opt;
-    opt.num_ranks = 4;
-    opt.max_iterations = 12;
-    opt.faults.seed = seed;
-    opt.faults.drop_rate = 0.25;
-    opt.faults.stall_rate = 0.2;
-    opt.faults.max_stall = 2;
-    dist::DistBpStats stats;
-    const auto r = distributed_belief_prop_align(inst.problem, S, opt, &stats);
-    ASSERT_TRUE(is_valid_matching(inst.problem.L, r.matching))
-        << "seed " << seed;
-    EXPECT_GT(stats.stalled_iterations + stats.fault_stats.dropped, 0u);
-    stale_columns += stats.stale_columns;
-  }
-  // Lost othermax replies must surface as stale-column events somewhere in
-  // three seeded runs, or the degradation path is untested.
-  EXPECT_GT(stale_columns, 0u);
-}
-
-TEST(FaultBp, DeterministicReplayForSameSeed) {
-  const auto inst = small_instance(31);
-  const auto S = SquaresMatrix::build(inst.problem);
-  dist::DistBpOptions opt;
-  opt.num_ranks = 4;
-  opt.max_iterations = 10;
-  opt.faults.seed = 606;
-  opt.faults.drop_rate = 0.2;
-  opt.faults.stall_rate = 0.15;
-  dist::DistBpStats s1, s2;
-  const auto r1 = distributed_belief_prop_align(inst.problem, S, opt, &s1);
-  const auto r2 = distributed_belief_prop_align(inst.problem, S, opt, &s2);
-  EXPECT_EQ(r1.matching.mate_a, r2.matching.mate_a);
-  EXPECT_DOUBLE_EQ(r1.value.objective, r2.value.objective);
-  EXPECT_EQ(s1.fault_stats.dropped, s2.fault_stats.dropped);
-  EXPECT_EQ(s1.stale_columns, s2.stale_columns);
-  EXPECT_EQ(s1.stalled_iterations, s2.stalled_iterations);
-  EXPECT_EQ(s1.bsp.messages, s2.bsp.messages);
-}
-
-TEST(FaultBp, ZeroRatePlanMatchesFaultFreeRunExactly) {
-  const auto inst = small_instance(32);
-  const auto S = SquaresMatrix::build(inst.problem);
-  dist::DistBpOptions plain;
-  plain.num_ranks = 3;
-  plain.max_iterations = 8;
-  dist::DistBpStats sp;
-  const auto rp = distributed_belief_prop_align(inst.problem, S, plain, &sp);
-
-  dist::DistBpOptions zeroed = plain;
-  zeroed.faults.seed = 777;
-  dist::DistBpStats sz;
-  const auto rz = distributed_belief_prop_align(inst.problem, S, zeroed, &sz);
-
-  EXPECT_EQ(rp.matching.mate_a, rz.matching.mate_a);
-  EXPECT_DOUBLE_EQ(rp.value.objective, rz.value.objective);
-  EXPECT_EQ(sp.bsp.supersteps, sz.bsp.supersteps);
-  EXPECT_EQ(sp.bsp.messages, sz.bsp.messages);
-  EXPECT_EQ(sp.bsp.bytes, sz.bsp.bytes);
-  EXPECT_EQ(sz.stale_columns, 0u);
-  EXPECT_EQ(sz.stalled_iterations, 0u);
 }
 
 }  // namespace

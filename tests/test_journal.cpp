@@ -469,6 +469,51 @@ TEST(RecoveryTest, LostProblemSpillDegradesToAFailedJob) {
   EXPECT_NE(r->error.find("lost"), std::string::npos) << r->error;
 }
 
+TEST(RecoveryTest, RetiredSolverInAnOlderJournalFailsOnlyThatJob) {
+  // Journals written before the simulated distributed solvers were
+  // retired can hold queued `dist-bp` / `dist-mr` submits with a `ranks`
+  // field. Replay must not abort: that job fails with an unknown-solver
+  // error, its neighbours run, and the daemon keeps accepting work.
+  const std::string dir = tmp_path("rec_retired");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string text = problem_text();
+  const std::string key = content_key(text);
+  std::ofstream(dir + "/job-1.nap", std::ios::binary) << text << std::flush;
+  std::ofstream(dir + "/job-2.nap", std::ios::binary) << text << std::flush;
+  {
+    // Verbatim records in the older layout (`ranks` after `batch`).
+    const std::string common =
+        R"("tenant":"default","key":")" + key +
+        R"(","key_provisional":false,"request_id":"",)";
+    std::ofstream journal(dir + "/journal.jsonl", std::ios::binary);
+    journal << R"({"event":"journal","version":1,"proto":1,"next_id":1})"
+            << "\n"
+            << R"({"event":"submit","job":1,)" << common
+            << R"("solver":"dist-bp","matcher":"approx","iters":3,)"
+            << R"("batch":1,"ranks":3,"gamma":0,"deadline_seconds":0,)"
+            << R"("tag":"","squares_mode":"","problem_path":"",)"
+            << R"("problem_file":"job-1.nap"})" << "\n"
+            << R"({"event":"submit","job":2,)" << common
+            << R"("solver":"bp","matcher":"approx","iters":3,)"
+            << R"("batch":1,"ranks":4,"gamma":0,"deadline_seconds":0,)"
+            << R"("tag":"","squares_mode":"","problem_path":"",)"
+            << R"("problem_file":"job-2.nap"})" << "\n";
+  }
+  obs::Counters counters;
+  ProblemCache cache(4, &counters);
+  JobManager jobs(recovery_options(dir), cache, &counters);
+  EXPECT_EQ(jobs.recovery().requeued, 2);
+  const auto retired = wait_terminal(jobs, 1);
+  EXPECT_EQ(retired.state, JobState::kFailed);
+  EXPECT_NE(retired.error.find("unknown solver 'dist-bp'"), std::string::npos)
+      << retired.error;
+  EXPECT_EQ(wait_terminal(jobs, 2).state, JobState::kDone);
+  const auto fresh = jobs.submit(bp_job(text, 3));
+  ASSERT_TRUE(fresh.accepted) << fresh.message;
+  EXPECT_EQ(wait_terminal(jobs, fresh.job).state, JobState::kDone);
+}
+
 TEST(RecoveryTest, TornFinalRecordIsReportedAndSurvivable) {
   const std::string dir = tmp_path("rec_torn");
   fs::remove_all(dir);

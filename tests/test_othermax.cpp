@@ -115,8 +115,7 @@ TEST(Othermax, SingletonRowSubReturnsDUnchanged) {
 
 TEST(Othermax, SubVariantsBitIdenticalToUnfused) {
   // othermax_{row,col}_sub must equal othermax_{row,col} followed by
-  // out = d - max(om, 0) bit-for-bit: BP's fused Step 3 relies on it
-  // (test_dist_bp compares objective histories exactly).
+  // out = d - max(om, 0) bit-for-bit: BP's fused Step 3 relies on it.
   Xoshiro256 rng(44);
   for (int trial = 0; trial < 50; ++trial) {
     const auto L = random_bipartite(7, 6, 20, rng);

@@ -104,6 +104,11 @@ TEST(Protocol, UnknownFieldsAreIgnored) {
       R"({"method":"status","job":3,"future_field":{"deep":[1,2]}})");
   EXPECT_EQ(req.method, Method::kStatus);
   EXPECT_EQ(req.job, 3);
+  // `ranks` configured the retired simulated distributed solvers; older
+  // clients still send it, at any value.
+  const Request old_client = parse_ok(
+      R"({"method":"submit","problem":"x","solver":"mr","ranks":2000000000})");
+  EXPECT_EQ(old_client.submit.solver, "mr");
 }
 
 TEST(Protocol, WrongFieldTypeIsBadRequest) {
@@ -154,6 +159,10 @@ TEST(Protocol, SubmitNeedsExactlyOneProblemSource) {
 TEST(Protocol, SubmitValidatesNamesAndRanges) {
   EXPECT_EQ(parse_fail(R"({"method":"submit","problem":"x","solver":"gpt"})"),
             ErrorCode::kBadRequest);
+  // The retired simulated distributed solvers are unknown solvers now.
+  EXPECT_EQ(
+      parse_fail(R"({"method":"submit","problem":"x","solver":"dist-bp"})"),
+      ErrorCode::kBadRequest);
   EXPECT_EQ(
       parse_fail(R"({"method":"submit","problem":"x","matcher":"magic"})"),
       ErrorCode::kBadRequest);
@@ -161,16 +170,13 @@ TEST(Protocol, SubmitValidatesNamesAndRanges) {
             ErrorCode::kBadRequest);
   EXPECT_EQ(parse_fail(R"({"method":"submit","problem":"x","batch":0})"),
             ErrorCode::kBadRequest);
-  // Upper bounds too: iters is the job's DRR scheduling cost and all
-  // three feed solver `int` options, so absurd values must die here.
+  // Upper bounds too: iters is the job's DRR scheduling cost and both
+  // feed solver `int` options, so absurd values must die here.
   EXPECT_EQ(parse_fail(
                 R"({"method":"submit","problem":"x","iters":1000000000001})"),
             ErrorCode::kBadRequest);
   EXPECT_EQ(parse_fail(
                 R"({"method":"submit","problem":"x","batch":2000000000})"),
-            ErrorCode::kBadRequest);
-  EXPECT_EQ(parse_fail(
-                R"({"method":"submit","problem":"x","ranks":2000000000})"),
             ErrorCode::kBadRequest);
   EXPECT_EQ(parse_fail(
                 R"({"method":"submit","problem":"x","deadline_seconds":-2})"),
@@ -1056,6 +1062,13 @@ TEST_F(ServerSocketTest, ErrorTaxonomyOverTheWire) {
   const obs::JsonValue missing =
       client_->call(R"({"method":"result","job":123})");
   EXPECT_EQ(missing.find("error")->find("code")->as_string(), "not_found");
+  const obs::JsonValue retired = client_->call(
+      R"({"method":"submit","problem":"x","solver":"dist-mr","ranks":3})");
+  EXPECT_EQ(retired.find("error")->find("code")->as_string(), "bad_request");
+  EXPECT_NE(
+      retired.find("error")->find("message")->as_string().find(
+          "unknown solver"),
+      std::string::npos);
 }
 
 TEST_F(ServerSocketTest, ProblemPathIsReadOffTheIoLoopAndFifosAreRefused) {

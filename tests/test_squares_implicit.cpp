@@ -191,7 +191,6 @@ TEST(ImplicitSquares, ViewSweepsMatchExplicit) {
   const SquaresView ve(S);
   const SquaresView vi(*imp);
   ASSERT_TRUE(vi.is_implicit());
-  ASSERT_EQ(vi.explicit_matrix(), nullptr);
   ASSERT_EQ(ve.num_nonzeros(), vi.num_nonzeros());
   ASSERT_EQ(ve.max_row_width(), vi.max_row_width());
 
@@ -226,9 +225,13 @@ TEST(ImplicitSquares, ViewSweepsMatchExplicit) {
 }
 
 TEST(ImplicitSquares, AutoModeSelectsByBudget) {
+  // nnz(S) is about 5x |E_L| here, so with two transpose chunks the
+  // implicit structure is the smaller one. The chunk count is pinned: the
+  // default scales with the thread count, and so does the implicit size.
   const auto p = power_law_problem(41);
   SquaresBackendOptions opt;
   opt.mode = SquaresMode::kAuto;
+  opt.num_chunks = 2;
   opt.budget_bytes = std::uint64_t{1} << 40;  // far above any estimate
   const SquaresBackend roomy = build_squares_backend(p, opt);
   EXPECT_FALSE(roomy.is_implicit());
@@ -241,6 +244,24 @@ TEST(ImplicitSquares, AutoModeSelectsByBudget) {
   EXPECT_EQ(roomy.explicit_bytes, tight.explicit_bytes);
   EXPECT_GT(tight.explicit_bytes, 0u);
   EXPECT_EQ(tight.view().num_nonzeros(), roomy.view().num_nonzeros());
+  ImplicitSquares::BuildOptions bo;
+  bo.num_chunks = opt.num_chunks;
+  EXPECT_EQ(ImplicitSquares::estimate_structure_bytes(squares_row_ptr(p), bo),
+            tight.structure_bytes());
+  EXPECT_LT(tight.structure_bytes(), tight.explicit_bytes);
+
+  // nnz(S) < |E_L|: the chunk tables alone (|E_L| entries per chunk)
+  // outweigh the explicit CSR, so over budget auto still keeps explicit.
+  const auto sparse = sparse_problem(41);
+  const auto sparse_ptr = squares_row_ptr(sparse);
+  ASSERT_LT(sparse_ptr.back(), sparse.L.num_edges());
+  opt.num_chunks = 1;
+  bo.num_chunks = 1;
+  const SquaresBackend kept = build_squares_backend(sparse, opt);
+  EXPECT_FALSE(kept.is_implicit());
+  EXPECT_GT(kept.explicit_bytes, opt.budget_bytes);
+  EXPECT_GE(ImplicitSquares::estimate_structure_bytes(sparse_ptr, bo),
+            kept.explicit_bytes);
 }
 
 TEST(ImplicitSquares, SquaresModeStringsRoundTrip) {

@@ -6,7 +6,7 @@
 #   1. build the ASan+UBSan tree and run the recovery suite under it
 #      (ctest -L recovery) -- restore paths must be memory-clean, not
 #      just green;
-#   2. kill-resume determinism: for bp, mr, and dist-mr, SIGKILL the CLI
+#   2. kill-resume determinism: for bp and mr, SIGKILL the CLI
 #      at a randomized moment mid-run, resume from the checkpoint it left
 #      behind, and require the final matching and objective-history CSV
 #      to be byte-identical to an uninterrupted run's. The killed run's
@@ -116,7 +116,6 @@ run_kill_resume() {
 echo "== kill-resume determinism =="
 run_kill_resume bp 40
 run_kill_resume mr 30
-run_kill_resume dist-mr 30
 
 echo "== corruption: newest generation falls back to .prev =="
 D="$TMP/corrupt"

@@ -1,14 +1,15 @@
 #!/usr/bin/env sh
-# One-command robustness gate for the fault-injection substrate
-# (docs/ARCHITECTURE.md "Fault model & reliable delivery"):
+# One-command robustness gate for the distributed matcher's
+# fault-injection substrate (docs/ARCHITECTURE.md "Fault model & reliable
+# delivery"):
 #
-#   1. build the ASan+UBSan tree and run the fault suite under it
-#      (ctest -L fault) -- the degraded code paths must be memory- and
-#      UB-clean, not just green;
-#   2. run bench_fault_sweep twice per seed (1, 7, 42) and require
-#      bit-identical output -- the determinism contract: every fault
-#      decision is a pure function of (plan seed, program order), so a
-#      seeded run must replay exactly.
+#   1. build the ASan+UBSan tree and run the matcher-level fault suite
+#      under it (ctest -L fault) -- the degraded code paths must be
+#      memory- and UB-clean, not just green;
+#   2. run bench_fault_sweep (dist_matching under a drop-rate sweep) twice
+#      per seed (1, 7, 42) and require bit-identical output -- the
+#      determinism contract: every fault decision is a pure function of
+#      (plan seed, program order), so a seeded run must replay exactly.
 #
 #   tools/check_robustness.sh            # both stages
 #

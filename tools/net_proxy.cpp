@@ -179,6 +179,9 @@ int main(int argc, char** argv) try {
     const int n = ::poll(fds.data(), fds.size(), 20);
     if (n < 0 && errno != EINTR) break;
 
+    // Relays accepted below have no pollfd entries until the next pass;
+    // service only the ones that were polled.
+    const std::size_t polled = relays.size();
     if ((fds[0].revents & POLLIN) != 0) {
       for (;;) {
         const int cfd = ::accept(listener.fd(), nullptr, nullptr);
@@ -208,7 +211,8 @@ int main(int argc, char** argv) try {
     }
 
     std::size_t idx = 1;
-    for (Relay& r : relays) {
+    for (std::size_t i = 0; i < polled; ++i) {
+      Relay& r = relays[i];
       const pollfd& cp = fds[idx++];
       const pollfd& sp = fds[idx++];
       if (r.dead) continue;

@@ -28,8 +28,6 @@
 #include <string>
 #include <thread>
 
-#include "dist/dist_bp.hpp"
-#include "dist/dist_mr.hpp"
 #include "graph/algorithms.hpp"
 #include "io/matching_io.hpp"
 #include "io/problem_io.hpp"
@@ -152,8 +150,7 @@ int cmd_align(int argc, char** argv) {
   CliParser cli("netalign align: run an alignment method on a problem.");
   auto& path = cli.add_string("problem", "", "problem file (required)");
   auto& method = cli.add_string(
-      "method", "bp",
-      "alignment method: bp | mr | isorank | dist-bp | dist-mr");
+      "method", "bp", "alignment method: bp | mr | isorank");
   auto& matcher_name = cli.add_string(
       "matcher", "approx", "exact | approx | greedy | suitor | auction | pga");
   auto& iters = cli.add_int("iters", 200, "iterations");
@@ -161,7 +158,6 @@ int cmd_align(int argc, char** argv) {
   auto& gamma = cli.add_double("gamma", 0.0,
                                "damping / step size (0 = method default)");
   auto& threads = cli.add_int("threads", 0, "OpenMP threads (0 = default)");
-  auto& ranks = cli.add_int("ranks", 4, "simulated ranks (dist-* methods)");
   auto& squares_mode_name = cli.add_string(
       "squares-mode", "explicit",
       "squares backend: explicit | implicit | auto "
@@ -169,7 +165,7 @@ int cmd_align(int argc, char** argv) {
   auto& squares_max_mb = cli.add_int(
       "squares-max-mb", 2048,
       "auto squares mode: switch to implicit when the explicit S estimate "
-      "exceeds this many MiB");
+      "exceeds this many MiB and the implicit estimate is smaller");
   auto& save = cli.add_string("save-matching", "", "write the matching here");
   auto& verbose = cli.add_bool("steps", false, "print per-step timings");
   auto& history = cli.add_string(
@@ -200,16 +196,7 @@ int cmd_align(int argc, char** argv) {
   budget.stop_flag = install_stop_signal_handlers();
 
   const NetAlignProblem p = read_problem_file(path);
-  SquaresMode squares_mode = squares_mode_from_string(squares_mode_name);
-  const bool dist_method = method == "dist-bp" || method == "dist-mr";
-  if (dist_method && squares_mode == SquaresMode::kImplicit) {
-    std::fprintf(stderr,
-                 "--squares-mode=implicit is not supported by %s (the rank "
-                 "partitioners need the materialized CSR)\n",
-                 method.c_str());
-    return 1;
-  }
-  if (dist_method) squares_mode = SquaresMode::kExplicit;
+  const SquaresMode squares_mode = squares_mode_from_string(squares_mode_name);
   SquaresBackendOptions squares_opts;
   squares_opts.mode = squares_mode;
   squares_opts.budget_bytes = static_cast<std::uint64_t>(squares_max_mb) << 20;
@@ -269,37 +256,6 @@ int cmd_align(int argc, char** argv) {
     opt.counters = counters_ptr;
     opt.budget = budget;
     r = isorank_align(p, S, opt);
-  } else if (method == "dist-bp") {
-    dist::DistBpOptions opt;
-    opt.num_ranks = static_cast<int>(ranks);
-    opt.max_iterations = static_cast<int>(iters);
-    opt.matcher = matcher;
-    if (gamma > 0.0) opt.gamma = gamma;
-    opt.trace = trace.get();
-    opt.counters = counters_ptr;
-    dist::DistBpStats dstats;
-    opt.budget = budget;
-    r = dist::distributed_belief_prop_align(p, *backend.matrix, opt, &dstats);
-    std::printf("[dist] ranks=%lld supersteps=%zu messages=%zu "
-                "(%zu remote) bytes=%zu\n",
-                static_cast<long long>(ranks), dstats.bsp.supersteps,
-                dstats.bsp.messages, dstats.bsp.remote_messages,
-                dstats.bsp.bytes);
-  } else if (method == "dist-mr") {
-    dist::DistMrOptions opt;
-    opt.num_ranks = static_cast<int>(ranks);
-    opt.max_iterations = static_cast<int>(iters);
-    if (gamma > 0.0) opt.gamma = gamma;
-    opt.trace = trace.get();
-    opt.counters = counters_ptr;
-    dist::DistMrStats dstats;
-    opt.budget = budget;
-    r = dist::distributed_klau_mr_align(p, *backend.matrix, opt, &dstats);
-    std::printf("[dist] ranks=%lld supersteps=%zu messages=%zu "
-                "(%zu remote) bytes=%zu\n",
-                static_cast<long long>(ranks), dstats.bsp.supersteps,
-                dstats.bsp.messages, dstats.bsp.remote_messages,
-                dstats.bsp.bytes);
   } else {
     std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
     return 1;
@@ -521,13 +477,12 @@ int cmd_client(int argc, char** argv) {
   auto& problem = cli.add_string(
       "problem", "", "problem file, sent inline (submit)");
   auto& solver = cli.add_string(
-      "solver", "bp", "bp | mr | isorank | dist-bp | dist-mr (submit)");
+      "solver", "bp", "bp | mr | isorank (submit)");
   auto& matcher = cli.add_string(
       "matcher", "approx",
       "exact | approx | greedy | suitor | auction | pga (submit)");
   auto& iters = cli.add_int("iters", 100, "iterations (submit)");
   auto& batch = cli.add_int("batch", 1, "BP rounding batch size (submit)");
-  auto& ranks = cli.add_int("ranks", 4, "simulated ranks, dist-* (submit)");
   auto& gamma = cli.add_double(
       "gamma", 0.0, "damping / step size, 0 = method default (submit)");
   auto& squares_mode_name = cli.add_string(
@@ -600,8 +555,7 @@ int cmd_client(int argc, char** argv) {
         .add("solver", solver)
         .add("matcher", matcher)
         .add("iters", iters)
-        .add("batch", batch)
-        .add("ranks", ranks);
+        .add("batch", batch);
     if (gamma > 0.0) req.add("gamma", gamma);
     if (!squares_mode_name.empty()) req.add("squares_mode", squares_mode_name);
     if (deadline > 0.0) req.add("deadline_seconds", deadline);

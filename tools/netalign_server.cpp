@@ -98,7 +98,7 @@ int main(int argc, char** argv) try {
   auto& squares_max_mb = cli.add_int(
       "squares-max-mb", 2048,
       "auto-mode threshold: explicit squares estimate (MiB) beyond which "
-      "jobs build the implicit backend");
+      "jobs build the implicit backend, if that is smaller");
   auto& threads = cli.add_int("threads", 0, "OpenMP threads (0 = default)");
   if (!cli.parse(argc, argv)) return 0;
   if ((socket_path.empty() == listen.empty()) || work_dir.empty()) {
