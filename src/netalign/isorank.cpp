@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "netalign/solver_ckpt.hpp"
@@ -62,10 +63,12 @@ AlignResult isorank_align(const NetAlignProblem& p, const SquaresView& S,
   std::vector<weight_t> next(static_cast<std::size_t>(m), 0.0);
   BestSolutionTracker tracker;
 
-  // --- Checkpoint/resume hooks. The only loop-carried state is the
-  // iterate x (prior and inv_deg are deterministic functions of the
-  // problem); the tracker stays empty until the single final rounding, so
-  // a resumed run re-rounds exactly the restored iterate.
+  // --- Checkpoint/resume hooks. The loop-carried state is the iterate x
+  // and the last sweep's residual (prior and inv_deg are deterministic
+  // functions of the problem); the tracker stays empty until the single
+  // final rounding, so a resumed run re-rounds exactly the restored
+  // iterate -- at once when that iterate had already converged.
+  weight_t delta = std::numeric_limits<weight_t>::infinity();
   const SolveBudget& budget = options.budget;
   int start_iter = 1;
   if (!budget.resume_path.empty()) {
@@ -77,6 +80,13 @@ AlignResult isorank_align(const NetAlignProblem& p, const SquaresView& S,
     x = r.pod_vector<weight_t>();
     if (x.size() != static_cast<std::size_t>(m)) {
       throw std::runtime_error("isorank_align: isorank.state size mismatch");
+    }
+    // Checkpoints older than the stored residual end after x; their
+    // history (recorded by default) carries it instead.
+    if (!r.exhausted()) {
+      delta = r.f64();
+    } else if (!result.objective_history.empty()) {
+      delta = result.objective_history.back();
     }
     start_iter = rs.iter + 1;
     result.resumed_from = rs.iter;
@@ -93,12 +103,14 @@ AlignResult isorank_align(const NetAlignProblem& p, const SquaresView& S,
     ckpt::write_progress(c, iter, tracker, result);
     io::ByteWriter w;
     w.pod_vector(x);
+    w.f64(delta);
     c.add("isorank.state").payload = w.take();
     ckpt::commit_checkpoint(c, budget.checkpoint_path, iter, trace, counters);
     last_snapshot_iter = iter;
   };
 
-  for (int iter = start_iter; iter <= options.max_iterations; ++iter) {
+  for (int iter = start_iter;
+       iter <= options.max_iterations && !(delta < options.tolerance); ++iter) {
     if (const StopReason why = budget.interruption(total_timer.seconds());
         why != StopReason::kCompleted) {
       result.stopped_reason = why;
@@ -118,7 +130,6 @@ AlignResult isorank_align(const NetAlignProblem& p, const SquaresView& S,
         next[e] = options.gamma * sum + (1.0 - options.gamma) * prior[e];
       });
     }
-    weight_t delta = 0.0;
     {
       ScopedStepTimer st(result.timers, "convergence");
       // Chunk-deterministic residual (deterministic_chunk_sums): the
@@ -140,7 +151,6 @@ AlignResult isorank_align(const NetAlignProblem& p, const SquaresView& S,
     }
     result.iterations_completed = iter;
     if (budget.checkpoint_due(iter)) snapshot(iter);
-    if (delta < options.tolerance) break;
   }
   snapshot(result.iterations_completed);
 

@@ -31,14 +31,13 @@ JsonlTailReader::Status JsonlTailReader::next(JsonValue& out) {
     fill();
     const std::size_t nl = buffer_.find('\n');
     if (nl == std::string::npos) return Status::kPending;
-    std::string candidate = buffer_.substr(0, nl);
+    const std::string candidate = buffer_.substr(0, nl);
     if (!held_bad_line_) ++lineno_;
     if (candidate.empty()) {
       buffer_.erase(0, nl + 1);
       continue;
     }
     if (try_parse_json(candidate, out)) {
-      line_ = std::move(candidate);
       buffer_.erase(0, nl + 1);
       held_bad_line_ = false;
       return Status::kEvent;

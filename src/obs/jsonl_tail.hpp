@@ -1,22 +1,21 @@
 // Tail-tolerant incremental reader for JSONL event streams.
 //
-// Two consumers read traces that may still be growing or were cut short:
-// tools/trace_summary (a file after the writer exited, possibly SIGKILLed
-// mid-line) and the server's per-job progress stream (a file another
-// thread is appending to right now). Both need the same guarantee, so it
-// lives here once:
+// Two consumers read JSONL files whose writer may have died mid-line:
+// tools/trace_summary (a solver trace) and the server's journal replay
+// (src/server/journal.cpp). Both need the same guarantee, so it lives
+// here once:
 //
 //   - only '\n'-terminated lines are ever surfaced; an unterminated tail
 //     is held buffered until the writer finishes it (kPending);
 //   - a terminated line that fails to parse is kTruncatedTail while
 //     nothing follows it (a crashed writer's final line), and becomes a
 //     hard kMalformed the moment later bytes prove it was mid-stream;
-//   - consequently a consumer polling a live file never sees a partial
-//     or damaged event, and a post-mortem consumer loses at most the one
-//     line the dying writer was emitting.
+//   - consequently a consumer never sees a partial or damaged event, and
+//     loses at most the one line the dying writer was emitting.
 //
 // The reader keeps the file open and resumes where it left off, so
-// polling is O(new bytes); docs/OBSERVABILITY.md states the guarantee.
+// polling a file that is still growing is O(new bytes);
+// docs/OBSERVABILITY.md states the guarantee.
 #pragma once
 
 #include <cstdint>
@@ -40,19 +39,13 @@ class JsonlTailReader {
   /// until it appears.
   explicit JsonlTailReader(std::string path);
 
-  /// Advance to the next complete event. On kEvent, `out` is filled and
-  /// `line()` returns the raw line it was parsed from (without the
-  /// newline). kPending and kTruncatedTail are retryable: a later call
-  /// re-examines the stream after the writer appended more.
+  /// Advance to the next complete event (filled into `out` on kEvent).
+  /// kPending and kTruncatedTail are retryable: a later call re-examines
+  /// the stream after the writer appended more.
   Status next(JsonValue& out);
-
-  /// Raw text of the last line delivered by next() (kEvent only).
-  [[nodiscard]] const std::string& line() const { return line_; }
 
   /// 1-based line number of the last line examined (parsed or not).
   [[nodiscard]] std::int64_t lineno() const { return lineno_; }
-
-  [[nodiscard]] const std::string& path() const { return path_; }
 
   /// True when the buffer holds an unterminated partial line. Meaningful
   /// after next() returned kPending: a live consumer polls again, while a
@@ -68,7 +61,6 @@ class JsonlTailReader {
   std::ifstream in_;
   bool open_ = false;
   std::string buffer_;   // bytes read but not yet delivered
-  std::string line_;     // last delivered line
   std::int64_t lineno_ = 0;
   bool held_bad_line_ = false;  // buffer_ starts with a terminated bad line
   bool dead_ = false;           // kMalformed was returned; reader stopped

@@ -50,20 +50,34 @@ RunMetadata run_metadata() {
   return meta;
 }
 
-TraceWriter::TraceWriter(std::ostream* out) : out_(out) {}
+namespace {
 
-TraceWriter::TraceWriter(const std::string& path) {
-  auto file = std::make_unique<std::ofstream>(path);
-  if (!*file) {
+TraceWriter::LineSink stream_sink(std::ostream* out) {
+  if (out == nullptr) return {};
+  return [out](std::string&& line) {
+    line.push_back('\n');
+    // Flush per event: a SIGKILLed run then loses at most the line being
+    // written (readers tolerate a truncated final line), never buffered
+    // events. One line per iteration makes the flush cost noise.
+    *out << line << std::flush;
+  };
+}
+
+}  // namespace
+
+TraceWriter::TraceWriter(LineSink sink) : sink_(std::move(sink)) {}
+
+TraceWriter::TraceWriter(std::ostream* out) : sink_(stream_sink(out)) {}
+
+TraceWriter::TraceWriter(const std::string& path)
+    : owned_(std::make_unique<std::ofstream>(path)) {
+  if (!*owned_) {
     throw std::runtime_error("TraceWriter: cannot open " + path);
   }
-  owned_ = std::move(file);
-  out_ = owned_.get();
+  sink_ = stream_sink(owned_.get());
 }
 
-TraceWriter::~TraceWriter() {
-  if (out_ != nullptr) out_->flush();
-}
+TraceWriter::~TraceWriter() = default;
 
 std::string TraceWriter::begin_event(const char* type) {
   std::string line = "{\"event\":";
@@ -98,14 +112,8 @@ void TraceWriter::append_fields(std::string& line, const Fields& fields) {
 }
 
 void TraceWriter::write_line(std::string&& line) {
-  line += "}\n";
-  *out_ << line;
-  // Flush per event: a trace must survive its process. A SIGKILLed or
-  // crashed run then loses at most the line being written (readers
-  // tolerate a truncated final line -- see try_parse_json), never whole
-  // buffered events. Traces are not hot-path (one line per iteration), so
-  // the flush cost is noise.
-  out_->flush();
+  line.push_back('}');
+  sink_(std::move(line));
   ++seq_;
 }
 
@@ -210,7 +218,6 @@ void TraceWriter::run_end(double total_seconds, double objective,
     line.push_back('}');
   }
   write_line(std::move(line));
-  out_->flush();
 }
 
 }  // namespace netalign::obs

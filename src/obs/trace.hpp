@@ -20,11 +20,12 @@
 //
 // Solvers take a nullable TraceWriter* option; the hot path pays nothing
 // when it is null (one pointer test per iteration). A TraceWriter
-// constructed over a null stream is inert: every emit is a no-op, so a
-// "disabled" writer can also be passed around safely.
+// constructed over a null stream or an empty sink is inert: every emit is
+// a no-op, so a "disabled" writer can also be passed around safely.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -81,8 +82,17 @@ class TraceWriter {
   };
   using Fields = std::vector<Field>;
 
-  /// Write to `out` (not owned; must outlive the writer). nullptr makes a
-  /// disabled writer whose emits are all no-ops.
+  /// Receives each finished event line: one compact JSON object, without
+  /// a trailing newline. The writer calls it under its lock, in `seq`
+  /// order.
+  using LineSink = std::function<void(std::string&& line)>;
+
+  /// Deliver every event line to `sink`. An empty sink makes a disabled
+  /// writer whose emits are all no-ops.
+  explicit TraceWriter(LineSink sink);
+
+  /// Write to `out` (not owned; must outlive the writer), one flushed line
+  /// per event. nullptr makes a disabled writer.
   explicit TraceWriter(std::ostream* out);
 
   /// Open `path` for writing (owned). Throws std::runtime_error when the
@@ -93,7 +103,7 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  [[nodiscard]] bool enabled() const { return out_ != nullptr; }
+  [[nodiscard]] bool enabled() const { return static_cast<bool>(sink_); }
 
   /// Emit run_start: method name, captured run_metadata(), and the
   /// caller's parameters (problem name, sizes, gamma, iters, ...).
@@ -128,7 +138,7 @@ class TraceWriter {
   static void append_fields(std::string& line, const Fields& fields);
 
   std::unique_ptr<std::ostream> owned_;
-  std::ostream* out_;  // nullptr = disabled
+  LineSink sink_;  // empty = disabled
   WallTimer clock_;
   std::int64_t seq_ = 0;
   std::mutex mutex_;

@@ -13,6 +13,7 @@
 #include "netalign/isorank.hpp"
 #include "netalign/klau_mr.hpp"
 #include "netalign/rounding.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace netalign::server {
@@ -39,6 +40,12 @@ namespace {
 /// worker time the scheduler has before the solve runs.
 std::int64_t job_cost(const SubmitParams& spec) {
   return std::max<std::int64_t>(1, spec.iters);
+}
+
+/// Unlink `paths` (missing ones are fine). Called with no lock held.
+void remove_files(const std::vector<std::string>& paths) {
+  std::error_code ec;
+  for (const std::string& path : paths) std::filesystem::remove(path, ec);
 }
 
 JobState state_from_journal(const std::string& s) {
@@ -255,8 +262,6 @@ void JobManager::recover_from_journal() {
     job->tenant = jj.tenant;
     job->key = jj.key;
     job->problem_file = jj.problem_file;
-    job->trace_path = options_.work_dir + "/job-" + std::to_string(jj.id) +
-                      ".trace.jsonl";
     if (!jj.spec.request_id.empty()) {
       request_ids_.emplace(std::make_pair(jj.tenant, jj.spec.request_id),
                            jj.id);
@@ -294,9 +299,6 @@ void JobManager::recover_from_journal() {
       job->lru_pos = std::prev(retained_lru_.end());
       job->in_lru = true;
       ++recovery_.terminal_restored;
-      // The pre-crash trace survives, so progress/status keep serving
-      // the full event stream for restored results.
-      job->tail = std::make_unique<obs::JsonlTailReader>(job->trace_path);
     } else if (jj.problem_file.empty() && jj.spec.problem_path.empty()) {
       // The submit was journaled but its problem spill never made it to
       // disk (spill I/O failure before the crash). The job cannot be
@@ -308,7 +310,6 @@ void JobManager::recover_from_journal() {
       job->lru_pos = std::prev(retained_lru_.end());
       job->in_lru = true;
       ++recovery_.terminal_restored;
-      job->tail = std::make_unique<obs::JsonlTailReader>(job->trace_path);
     } else {
       job->state = JobState::kQueued;
       if (!jj.problem_file.empty()) {
@@ -319,11 +320,6 @@ void JobManager::recover_from_journal() {
         job->spec.problem_text.clear();
       }
       job->resume = jj.started;
-      // The old trace is from the interrupted attempt; the re-run
-      // rewrites it from scratch (with a `resume` event when resuming).
-      std::error_code ec;
-      std::filesystem::remove(job->trace_path, ec);
-      job->tail = std::make_unique<obs::JsonlTailReader>(job->trace_path);
     }
     jobs_.emplace(jj.id, std::move(job));
   }
@@ -422,10 +418,10 @@ std::int64_t job_file_id(const std::string& name, const char* suffix) {
 
 void JobManager::clean_work_dir() {
   // Reclaim files this manager's naming scheme owns and no live job
-  // references: traces of evicted/unknown jobs, checkpoints nothing will
-  // resume, spills of jobs that reached a terminal state, and
-  // half-written temporaries from an interrupted atomic rename. Files
-  // outside the job-*/journal naming scheme are never touched.
+  // references: checkpoints nothing will resume, spills of jobs that
+  // reached a terminal state, half-written temporaries from an
+  // interrupted atomic rename, and per-job traces older builds wrote.
+  // Files outside the job-*/journal naming scheme are never touched.
   std::int64_t removed = 0;
   std::error_code ec;
   for (const auto& entry :
@@ -436,14 +432,10 @@ void JobManager::clean_work_dir() {
     if (name == "journal.jsonl") {
       doomed = journal_ == nullptr;  // journal off = fresh start
     } else if (name == "journal.jsonl.tmp" ||
+               job_file_id(name, ".trace.jsonl") >= 0 ||
                (name.size() > 4 && name.compare(0, 4, "job-") == 0 &&
                 name.compare(name.size() - 4, 4, ".tmp") == 0)) {
-      doomed = true;  // interrupted tmp -> rename
-    } else if (const auto id = job_file_id(name, ".trace.jsonl"); id >= 0) {
-      // Keep only terminal jobs' traces; requeued jobs already had
-      // theirs reset during recovery.
-      const auto it = jobs_.find(id);
-      doomed = it == jobs_.end() || it->second->state == JobState::kQueued;
+      doomed = true;  // an older build's trace, or interrupted tmp -> rename
     } else if (const auto cid = job_file_id(name, ".ckpt"); cid >= 0) {
       const auto it = jobs_.find(cid);
       doomed = it == jobs_.end() || !it->second->resume;
@@ -566,9 +558,6 @@ JobManager::SubmitOutcome JobManager::submit(SubmitParams spec) {
     job->spec = std::move(spec);
     job->tenant = tenant;
     job->key = out.key;
-    job->trace_path = options_.work_dir + "/job-" + std::to_string(job->id) +
-                      ".trace.jsonl";
-    job->tail = std::make_unique<obs::JsonlTailReader>(job->trace_path);
     out.accepted = true;
     out.job = job->id;
     if (!job->spec.request_id.empty()) {
@@ -726,10 +715,7 @@ void JobManager::worker_loop() {
       }
       maybe_compact_locked();
     }
-    for (const std::string& path : doomed) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-    }
+    remove_files(doomed);
     // A tenant blocked on its running cap may be runnable now.
     work_available_.notify_all();
     job_finished_.notify_all();
@@ -795,6 +781,13 @@ JobState JobManager::run_job(Job& job) {
     }
     return JobState::kFailed;
   };
+
+  // Submit validates the name too, but a job replayed from an older
+  // journal can still name a retired solver: fail it before reading its
+  // problem or building squares into the cache.
+  if (!known_solver(job.spec.solver)) {
+    return fail("unknown solver '" + job.spec.solver + "'");
+  }
 
   if (!job.spec.problem_path.empty()) {
     // Deferred from submit: this is a worker thread, where a slow read
@@ -886,7 +879,8 @@ JobState JobManager::run_job(Job& job) {
   }
 
   try {
-    obs::TraceWriter trace(job.trace_path);
+    obs::TraceWriter trace(
+        [&job](std::string&& line) { job.append_event(std::move(line)); });
     obs::Counters run_counters;
     trace.run_start(job.spec.solver, {{"problem", cp->problem.name},
                                       {"matcher", job.spec.matcher},
@@ -971,8 +965,8 @@ std::vector<std::string> JobManager::mark_terminal_locked(Job& job) {
     job.in_lru = true;
   }
   // LRU eviction beyond the retention cap: the state-map entry, the
-  // buffered events, and the on-disk trace are reclaimed together. The
-  // unlink itself happens after mutex_ is released (callers own that).
+  // buffered events and any files the victim left are reclaimed together.
+  // The unlink happens after mutex_ is released (callers own that).
   std::vector<std::string> doomed;
   while (retained_lru_.size() > options_.retained_cap) {
     const std::int64_t victim = retained_lru_.front();
@@ -980,7 +974,6 @@ std::vector<std::string> JobManager::mark_terminal_locked(Job& job) {
     const auto it = jobs_.find(victim);
     if (it != jobs_.end()) {
       Job& gone = *it->second;
-      doomed.push_back(gone.trace_path);
       // Normally reclaimed at the victim's own terminal transition;
       // harmless to re-doom (remove() of a missing file is a no-op).
       doomed.push_back(ckpt_path(victim));
@@ -1023,28 +1016,19 @@ void JobManager::touch_locked(Job& job) {
   job.lru_pos = std::prev(retained_lru_.end());
 }
 
-void JobManager::drain_tail(Job& job) {
-  std::lock_guard<std::mutex> guard(job.tail_mutex);
-  if (!job.tail) return;
-  obs::JsonValue event;
-  while (job.tail->next(event) == obs::JsonlTailReader::Status::kEvent) {
-    std::string compact;
-    obs::write_json(compact, event);
-    job.events.push_back(std::move(compact));
-    const obs::JsonValue* type = event.find("event");
-    if (type == nullptr || !type->is_string()) continue;
-    if (type->as_string() == "iteration") {
-      ++job.iterations_seen;
-    } else if (type->as_string() == "round") {
-      ++job.rounds_seen;
-      if (const obs::JsonValue* obj = event.find("objective");
-          obj != nullptr && obj->is_number()) {
-        job.last_objective = obj->as_number();
-      }
-    }
+void JobManager::Job::append_event(std::string&& line) {
+  // Parsed off the lock; the line itself is kept verbatim. Every
+  // TraceWriter line names its "event", and every round its "objective".
+  const obs::JsonValue event = obs::parse_json(line);
+  const std::string& type = event.find("event")->as_string();
+  const std::lock_guard<std::mutex> guard(events_mutex);
+  if (type == "iteration") ++iterations_seen;
+  if (type == "round") {
+    ++rounds_seen;
+    const obs::JsonValue* objective = event.find("objective");
+    if (objective->is_number()) last_objective = objective->as_number();
   }
-  // kPending / kTruncatedTail: the writer is mid-line; poll again later.
-  // kMalformed cannot happen for a file this process is writing.
+  events.push_back(std::move(line));
 }
 
 std::shared_ptr<JobManager::Job> JobManager::find(std::int64_t id) {
@@ -1058,16 +1042,10 @@ bool JobManager::expired(std::int64_t id) const {
 }
 
 std::optional<JobManager::JobStatus> JobManager::status(std::int64_t id) {
-  std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job = find(id);
-    if (job) touch_locked(*job);
-  }
-  if (job == nullptr) return std::nullopt;
-  drain_tail(*job);
-
   std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_ptr<Job> job = find(id);
+  if (job == nullptr) return std::nullopt;
+  touch_locked(*job);
   JobStatus s;
   s.id = job->id;
   s.state = job->state;
@@ -1089,7 +1067,7 @@ std::optional<JobManager::JobStatus> JobManager::status(std::int64_t id) {
     }
   }
   {
-    std::lock_guard<std::mutex> guard(job->tail_mutex);
+    std::lock_guard<std::mutex> guard(job->events_mutex);
     s.iterations = job->iterations_seen;
     s.rounds = job->rounds_seen;
     s.last_objective = job->last_objective;
@@ -1101,20 +1079,15 @@ std::optional<JobManager::JobStatus> JobManager::status(std::int64_t id) {
 std::optional<JobManager::JobProgress> JobManager::progress(
     std::int64_t id, std::int64_t cursor) {
   std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job = find(id);
-    if (job) touch_locked(*job);
-  }
-  if (job == nullptr) return std::nullopt;
-  drain_tail(*job);
-
   JobProgress p;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    job = find(id);
+    if (job == nullptr) return std::nullopt;
+    touch_locked(*job);
     p.state = job->state;
   }
-  std::lock_guard<std::mutex> guard(job->tail_mutex);
+  std::lock_guard<std::mutex> guard(job->events_mutex);
   const auto total = static_cast<std::int64_t>(job->events.size());
   const std::int64_t from = std::min(cursor, total);
   p.events.assign(job->events.begin() + from, job->events.end());
@@ -1197,10 +1170,7 @@ JobManager::CancelOutcome JobManager::cancel(std::int64_t id) {
     }
     out.state = JobState::kCancelled;
   }
-  for (const std::string& path : doomed) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-  }
+  remove_files(doomed);
   return out;
 }
 
@@ -1294,10 +1264,7 @@ void JobManager::shutdown(bool cancel_running) {
       doomed.insert(doomed.end(), paths.begin(), paths.end());
     }
   }
-  for (const std::string& path : doomed) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-  }
+  remove_files(doomed);
   work_available_.notify_all();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();

@@ -15,8 +15,8 @@
 //
 // Terminal jobs (done/failed/cancelled) are retained up to
 // `retained_cap` and then evicted least-recently-*accessed* first; an
-// eviction reclaims the state-map entry, the buffered progress events,
-// and the on-disk trace file together. Jobs are held by shared_ptr so a
+// eviction reclaims the state-map entry and the buffered progress events
+// together. Jobs are held by shared_ptr so a
 // status/progress reader that grabbed a job just before its eviction
 // still reads coherent state. Evicted ids are distinguishable from
 // never-issued ids (`expired()`), so clients get `expired`, not a
@@ -31,11 +31,11 @@
 // time (that would block the single-threaded I/O loop behind disk I/O);
 // the worker reads it in run_job and re-keys the job from the bytes.
 //
-// Every job writes its own JSONL trace (obs::TraceWriter) into the work
-// directory; status/progress queries tail that file through the
-// tail-tolerant reader (obs/jsonl_tail.hpp), so "streaming" progress is
-// just re-serving the solver's existing telemetry -- the server adds no
-// second progress channel to keep consistent.
+// Every job runs with its own obs::TraceWriter whose line sink appends
+// each finished event line to the job in memory; status/progress queries
+// serve those exact lines, so "streaming" progress is just re-serving the
+// solver's existing telemetry -- the server adds no second progress
+// channel to keep consistent, and writes no per-job trace file.
 #pragma once
 
 #include <atomic>
@@ -54,7 +54,6 @@
 
 #include "netalign/result.hpp"
 #include "obs/counters.hpp"
-#include "obs/jsonl_tail.hpp"
 #include "server/cache.hpp"
 #include "server/journal.hpp"
 #include "server/protocol.hpp"
@@ -88,7 +87,8 @@ struct JobManagerOptions {
   /// bounded by the request-line cap); the worker's chunked read fails
   /// the job once it would exceed this.
   std::size_t max_problem_bytes = 1u << 30;
-  std::string work_dir;       ///< per-job trace files live here (required)
+  /// Journal, checkpoints and problem spills live here (required).
+  std::string work_dir;
   /// Durability (docs/SERVER.md "Durability & recovery"): with the
   /// journal on, an accepted submit is appended to
   /// `work_dir/journal.jsonl` before it is acknowledged, terminal
@@ -108,8 +108,7 @@ struct JobManagerOptions {
   /// since recovery is the only reader.
   std::int64_t checkpoint_every = 25;
   /// Default squares backend for submits without a `squares_mode` field:
-  /// "explicit" | "implicit" | "auto". Dist-* solvers always run
-  /// explicit regardless.
+  /// "explicit" | "implicit" | "auto".
   std::string squares_mode = "explicit";
   /// `auto` threshold in MiB: a problem whose explicit squares structure
   /// would exceed this is built implicit instead.
@@ -155,8 +154,8 @@ class JobManager {
     std::string solver;
     bool cache_hit = false;          ///< meaningful once running
     std::int64_t queue_position = -1;  ///< 0-based within the tenant queue
-    std::int64_t iterations = 0;     ///< iteration events tailed so far
-    std::int64_t rounds = 0;         ///< rounding events tailed so far
+    std::int64_t iterations = 0;     ///< iteration events emitted so far
+    std::int64_t rounds = 0;         ///< rounding events emitted so far
     double last_objective = 0.0;     ///< 0 until the first round event
     std::string error;               ///< kFailed only
   };
@@ -165,7 +164,8 @@ class JobManager {
   struct JobProgress {
     JobState state = JobState::kQueued;
     std::int64_t next_cursor = 0;
-    /// Serialized trace events [cursor, next_cursor), compact JSON each.
+    /// Trace event lines [cursor, next_cursor), exactly as the job's
+    /// TraceWriter produced them (compact JSON, no newline).
     std::vector<std::string> events;
   };
   std::optional<JobProgress> progress(std::int64_t id, std::int64_t cursor);
@@ -262,7 +262,6 @@ class JobManager {
     SubmitParams spec;
     std::string tenant;  ///< resolved (never empty)
     std::string key;
-    std::string trace_path;
     /// Basename of the job's problem spill in the work dir
     /// ("job-<id>.nap"); what recovery re-reads the bytes from. Empty
     /// for a path submission a worker has not picked up yet (recovery
@@ -290,14 +289,16 @@ class JobManager {
     bool in_lru = false;
     std::list<std::int64_t>::iterator lru_pos;  // valid iff in_lru
 
-    // Progress tailing, guarded by tail_mutex (file IO kept off the
-    // manager-wide lock).
-    std::mutex tail_mutex;
-    std::unique_ptr<obs::JsonlTailReader> tail;
-    std::vector<std::string> events;
+    // Progress, guarded by events_mutex: the worker's trace sink appends
+    // here on every event, so it stays off the manager-wide lock.
+    std::mutex events_mutex;
+    std::vector<std::string> events;  ///< TraceWriter lines, no newline
     std::int64_t iterations_seen = 0;
     std::int64_t rounds_seen = 0;
     double last_objective = 0.0;
+
+    /// The job's TraceWriter sink: buffer `line` and update the counters.
+    void append_event(std::string&& line);
   };
 
   /// One tenant's scheduling bucket.
@@ -339,12 +340,11 @@ class JobManager {
   /// Runs in the constructor, before any worker starts. Throws on a
   /// journal with a newer version than this build.
   void recover_from_journal();
-  /// Delete stale work-dir files (orphaned traces/checkpoints/spills and
-  /// half-written temporaries) that no live job owns. Requires the
+  /// Delete stale work-dir files (orphaned checkpoints/spills, trace
+  /// files of older builds, half-written temporaries) that no live job
+  /// owns. Requires the
   /// recovery pass (when any) to have run.
   void clean_work_dir();
-  /// Drain new trace events into job.events / progress counters.
-  void drain_tail(Job& job);
   std::shared_ptr<Job> find(std::int64_t id);
 
   /// Deficit-round-robin pick: the next runnable job id, or -1. Pops it
@@ -354,8 +354,8 @@ class JobManager {
   [[nodiscard]] bool has_eligible_locked() const;
   /// Record a terminal transition: retention bookkeeping + counters.
   /// Requires mutex_; eviction of over-cap jobs happens here too (their
-  /// trace files are unlinked after mutex_ is released, via the returned
-  /// paths).
+  /// checkpoint and spill files are unlinked after mutex_ is released, via
+  /// the returned paths).
   [[nodiscard]] std::vector<std::string> mark_terminal_locked(Job& job);
   /// Refresh a terminal job's retention recency. Requires mutex_.
   void touch_locked(Job& job);

@@ -136,16 +136,16 @@ std::int64_t require_job(const obs::JsonValue& doc) {
   return job;
 }
 
-bool known_solver(const std::string& s) {
-  return s == "bp" || s == "mr" || s == "isorank";
-}
-
 bool known_matcher(const std::string& s) {
   return s == "exact" || s == "approx" || s == "greedy" || s == "suitor" ||
          s == "auction" || s == "pga";
 }
 
 }  // namespace
+
+bool known_solver(std::string_view name) {
+  return name == "bp" || name == "mr" || name == "isorank";
+}
 
 bool parse_request(std::string_view line, Request& out, ErrorCode& code,
                    std::string& message) {

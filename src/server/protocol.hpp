@@ -114,6 +114,9 @@ struct Request {
   SubmitParams submit;
 };
 
+/// True for the solver names a submit may carry: bp | mr | isorank.
+[[nodiscard]] bool known_solver(std::string_view name);
+
 /// Parse and validate one request line. Returns true and fills `out`;
 /// on failure returns false with `code`/`message` describing the error
 /// (the id, when recoverable from the line, is still echoed via

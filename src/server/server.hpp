@@ -57,7 +57,7 @@ struct ServerOptions {
   std::size_t max_output_bytes = 16u << 20;
   /// Byte cap on a problem_path file read by a worker.
   std::size_t max_problem_bytes = 1u << 30;
-  std::string work_dir;               ///< job trace files (required)
+  std::string work_dir;               ///< journal + job files (required)
   bool journal = true;                ///< write-ahead job journal in work_dir
   bool journal_fsync = false;         ///< fsync every append, not just terminals
   bool recover = true;                ///< replay the journal at startup

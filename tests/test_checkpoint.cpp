@@ -349,6 +349,65 @@ TEST(ResumeEquivalence, IsoRank) {
   remove_generations(path);
 }
 
+TEST(ResumeEquivalence, IsoRankConvergedCheckpointGoesStraightToRounding) {
+  // A checkpoint written at convergence must not sweep again on resume:
+  // the history and matching equal the uninterrupted run's, whether the
+  // checkpoint stores the final residual or predates that and only its
+  // recorded history carries it.
+  const auto inst = small_instance(13);
+  const auto S = SquaresMatrix::build(inst.problem);
+  const std::string path = tmp_path("isorank_converged.ckpt");
+
+  for (const bool history : {true, false}) {
+    SCOPED_TRACE(history ? "with history" : "without history");
+    remove_generations(path);
+    IsoRankOptions full;
+    full.max_iterations = 200;
+    full.record_history = history;
+    const auto uninterrupted = isorank_align(inst.problem, S, full);
+    ASSERT_LT(uninterrupted.iterations_completed, full.max_iterations);
+
+    IsoRankOptions part = full;
+    part.budget.checkpoint_path = path;
+    part.budget.checkpoint_every = 1;
+    (void)isorank_align(inst.problem, S, part);  // ends in a converged ckpt
+
+    IsoRankOptions rest = full;
+    rest.budget.resume_path = path;
+    const auto resumed = isorank_align(inst.problem, S, rest);
+    EXPECT_EQ(resumed.resumed_from, uninterrupted.iterations_completed);
+    EXPECT_EQ(resumed.iterations_completed,
+              uninterrupted.iterations_completed);
+    expect_identical(uninterrupted, resumed);
+  }
+
+  // The older layout: isorank.state holds the iterate alone, and the
+  // history (recorded by default) says the run had converged.
+  remove_generations(path);
+  IsoRankOptions full;
+  full.max_iterations = 200;
+  const auto uninterrupted = isorank_align(inst.problem, S, full);
+  IsoRankOptions part = full;
+  part.budget.checkpoint_path = path;
+  part.budget.checkpoint_every = 1;
+  (void)isorank_align(inst.problem, S, part);
+  io::Checkpoint c = io::read_checkpoint_file(path);
+  for (io::CheckpointSection& section : c.sections) {
+    if (section.name != "isorank.state") continue;
+    io::ByteReader r(section.payload);
+    io::ByteWriter w;
+    w.pod_vector(r.pod_vector<weight_t>());
+    section.payload = w.take();
+  }
+  io::write_checkpoint_file(path, c);
+  IsoRankOptions rest = full;
+  rest.budget.resume_path = path;
+  const auto resumed = isorank_align(inst.problem, S, rest);
+  EXPECT_EQ(resumed.iterations_completed, uninterrupted.iterations_completed);
+  expect_identical(uninterrupted, resumed);
+  remove_generations(path);
+}
+
 TEST(ResumeEquivalence, RepeatedResumesStillMatch) {
   // Resume, run two more iterations, checkpoint again, resume again: the
   // chain of three processes must equal one uninterrupted run.

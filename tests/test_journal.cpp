@@ -474,27 +474,31 @@ TEST(RecoveryTest, RetiredSolverInAnOlderJournalFailsOnlyThatJob) {
   // retired can hold queued `dist-bp` / `dist-mr` submits with a `ranks`
   // field. Replay must not abort: that job fails with an unknown-solver
   // error, its neighbours run, and the daemon keeps accepting work.
+  // The retired job is rejected before its problem is read, so it adds
+  // nothing to the problem cache (it carries its own problem to tell).
   const std::string dir = tmp_path("rec_retired");
   fs::remove_all(dir);
   fs::create_directories(dir);
+  const std::string retired_text = problem_text(60, 8);
   const std::string text = problem_text();
-  const std::string key = content_key(text);
-  std::ofstream(dir + "/job-1.nap", std::ios::binary) << text << std::flush;
+  std::ofstream(dir + "/job-1.nap", std::ios::binary)
+      << retired_text << std::flush;
   std::ofstream(dir + "/job-2.nap", std::ios::binary) << text << std::flush;
   {
     // Verbatim records in the older layout (`ranks` after `batch`).
-    const std::string common =
-        R"("tenant":"default","key":")" + key +
-        R"(","key_provisional":false,"request_id":"",)";
+    auto common = [](const std::string& problem) {
+      return R"("tenant":"default","key":")" + content_key(problem) +
+             R"(","key_provisional":false,"request_id":"",)";
+    };
     std::ofstream journal(dir + "/journal.jsonl", std::ios::binary);
     journal << R"({"event":"journal","version":1,"proto":1,"next_id":1})"
             << "\n"
-            << R"({"event":"submit","job":1,)" << common
+            << R"({"event":"submit","job":1,)" << common(retired_text)
             << R"("solver":"dist-bp","matcher":"approx","iters":3,)"
             << R"("batch":1,"ranks":3,"gamma":0,"deadline_seconds":0,)"
             << R"("tag":"","squares_mode":"","problem_path":"",)"
             << R"("problem_file":"job-1.nap"})" << "\n"
-            << R"({"event":"submit","job":2,)" << common
+            << R"({"event":"submit","job":2,)" << common(text)
             << R"("solver":"bp","matcher":"approx","iters":3,)"
             << R"("batch":1,"ranks":4,"gamma":0,"deadline_seconds":0,)"
             << R"("tag":"","squares_mode":"","problem_path":"",)"
@@ -512,6 +516,9 @@ TEST(RecoveryTest, RetiredSolverInAnOlderJournalFailsOnlyThatJob) {
   const auto fresh = jobs.submit(bp_job(text, 3));
   ASSERT_TRUE(fresh.accepted) << fresh.message;
   EXPECT_EQ(wait_terminal(jobs, fresh.job).state, JobState::kDone);
+  // Only job 2's problem was ever loaded (the fresh submit hits it).
+  EXPECT_EQ(counters.total("server.cache_miss"), 1);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(RecoveryTest, TornFinalRecordIsReportedAndSurvivable) {

@@ -29,6 +29,7 @@
 
 #include "netalign/synthetic.hpp"
 #include "io/problem_io.hpp"
+#include "obs/json.hpp"
 #include "obs/jsonl_tail.hpp"
 #include "server/cache.hpp"
 #include "server/client.hpp"
@@ -391,6 +392,57 @@ TEST(JobManager, RunsAJobToDone) {
   EXPECT_GT(status->rounds, 0);
 }
 
+TEST(JobManager, ProgressCursorStreamsEveryEventExactlyOnce) {
+  obs::Counters counters;
+  ProblemCache cache(4, &counters);
+  JobManager jobs(manager_options(1, 4, "jm_stream"), cache, &counters);
+  const auto out = jobs.submit(bp_job(problem_text(), 400));
+  ASSERT_TRUE(out.accepted) << out.message;
+  // Poll with the returned cursor while the solver emits, the way
+  // `client progress` does; stop after the first poll that saw the job
+  // terminal, which therefore holds everything up to run_end.
+  std::vector<std::string> streamed;
+  std::int64_t cursor = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    const auto p = jobs.progress(out.job, cursor);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->next_cursor,
+              cursor + static_cast<std::int64_t>(p->events.size()));
+    streamed.insert(streamed.end(), p->events.begin(), p->events.end());
+    cursor = p->next_cursor;
+    if (p->state != JobState::kQueued && p->state != JobState::kRunning) {
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(wait_terminal(jobs, out.job).state, JobState::kDone);
+
+  const auto all = jobs.progress(out.job, 0);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(streamed, all->events);  // no gaps, no duplicates
+  ASSERT_GE(streamed.size(), 2u);
+  EXPECT_EQ(obs::parse_json(streamed.front()).find("event")->as_string(),
+            "run_start");
+  EXPECT_EQ(obs::parse_json(streamed.back()).find("event")->as_string(),
+            "run_end");
+  std::int64_t iterations = 0;
+  std::int64_t rounds = 0;
+  for (const std::string& line : streamed) {
+    const std::string kind = obs::parse_json(line).find("event")->as_string();
+    iterations += kind == "iteration" ? 1 : 0;
+    rounds += kind == "round" ? 1 : 0;
+  }
+  const auto status = jobs.status(out.job);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->iterations, 400);
+  EXPECT_EQ(status->iterations, iterations);
+  EXPECT_EQ(status->rounds, rounds);
+  EXPECT_GT(status->rounds, 0);
+}
+
 TEST(JobManager, FailedProblemReportsError) {
   obs::Counters counters;
   ProblemCache cache(4, &counters);
@@ -593,7 +645,7 @@ TEST(JobManager, TenantRunningCapLeavesWorkersForOthers) {
   for (const auto id : {a1.job, a2.job, b1.job}) wait_terminal(jobs, id);
 }
 
-TEST(JobManager, RetentionEvictsOldestTerminalJobsWithTheirTraces) {
+TEST(JobManager, RetentionEvictsOldestTerminalJobsAndWritesNoTraceFiles) {
   obs::Counters counters;
   ProblemCache cache(4, &counters);
   JobManagerOptions opt = manager_options(1, 16, "jm_retain");
@@ -624,23 +676,13 @@ TEST(JobManager, RetentionEvictsOldestTerminalJobsWithTheirTraces) {
   }
   EXPECT_FALSE(jobs.expired(0));
   EXPECT_FALSE(jobs.expired(ids.back() + 1));  // never issued
-  // Eviction reclaims the on-disk trace too (the unlink happens just
-  // after the terminal transition, off the lock: poll briefly).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  // Progress lives in memory: no job leaves a trace file in the work dir.
   std::size_t traces = 0;
-  for (;;) {
-    traces = 0;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(opt.work_dir)) {
-      // Count job traces only: the work dir also holds journal.jsonl now.
-      const std::string name = entry.path().filename().string();
-      traces += name.find(".trace.jsonl") != std::string::npos ? 1u : 0u;
-    }
-    if (traces == 4 || std::chrono::steady_clock::now() > deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (const auto& entry : std::filesystem::directory_iterator(opt.work_dir)) {
+    const std::string name = entry.path().filename().string();
+    traces += name.find(".trace.jsonl") != std::string::npos ? 1u : 0u;
   }
-  EXPECT_EQ(traces, 4u);
+  EXPECT_EQ(traces, 0u);
 }
 
 TEST(JobManager, RetentionRefreshesRecencyOnAccess) {

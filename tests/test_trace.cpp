@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -306,6 +308,7 @@ TEST(TraceWriter, DisabledWriterEmitsNothing) {
   const SquaresMatrix S = SquaresMatrix::build(p);
   TraceWriter trace(static_cast<std::ostream*>(nullptr));
   EXPECT_FALSE(trace.enabled());
+  EXPECT_FALSE(TraceWriter(TraceWriter::LineSink{}).enabled());
   trace.run_start("belief_prop");
   BeliefPropOptions opt;
   opt.max_iterations = 3;
@@ -333,6 +336,56 @@ TEST(TraceWriter, TracedAndUntracedRunsAgree) {
 TEST(TraceWriter, UnopenablePathThrows) {
   EXPECT_THROW(TraceWriter("/nonexistent-dir-xyz/trace.jsonl"),
                std::runtime_error);
+}
+
+/// Emit one of every event kind through `trace`.
+void emit_every_kind(TraceWriter& trace) {
+  Counters counters;
+  counters.add("ops", 3);
+  StepTimers steps;
+  steps.add("matching", 0.25);
+  trace.run_start("bp", {{"problem", "tiny"}, {"iters", 2}});
+  trace.iteration(1, 0.99, steps, {{"objective", 1.5}});
+  trace.round(1, "approx", 4, 3.5, 2.0, 7.5);
+  trace.event("checkpoint", {{"iter", 1}, {"path", "a \"quoted\" path"}});
+  trace.run_end(0.5, 7.5, 1, &counters, {{"stopped_reason", "completed"}});
+}
+
+/// `line` with its "ts" value blanked: the only field two writers fed the
+/// same events may disagree on.
+std::string without_ts(std::string line) {
+  const std::size_t from = line.find(",\"ts\":");
+  const std::size_t to = line.find(",\"seq\":");
+  if (from != std::string::npos && to != std::string::npos) {
+    line.erase(from, to - from);
+  }
+  return line;
+}
+
+TEST(TraceWriter, SinkAndFileWritersProduceTheSameLines) {
+  std::vector<std::string> sunk;
+  TraceWriter to_sink(
+      [&sunk](std::string&& line) { sunk.push_back(std::move(line)); });
+  ASSERT_TRUE(to_sink.enabled());
+  emit_every_kind(to_sink);
+
+  const std::string path = ::testing::TempDir() + "sink_vs_file.jsonl";
+  {
+    TraceWriter to_file(path);
+    emit_every_kind(to_file);
+  }
+  std::ifstream in(path);
+  std::vector<std::string> filed;
+  for (std::string line; std::getline(in, line);) filed.push_back(line);
+  std::remove(path.c_str());
+
+  ASSERT_EQ(sunk.size(), 5u);
+  ASSERT_EQ(filed.size(), sunk.size());
+  for (std::size_t i = 0; i < sunk.size(); ++i) {
+    EXPECT_EQ(sunk[i].find('\n'), std::string::npos) << "line " << i;
+    EXPECT_EQ(without_ts(sunk[i]), without_ts(filed[i])) << "line " << i;
+    EXPECT_NO_THROW((void)parse_json(sunk[i])) << sunk[i];
+  }
 }
 
 TEST(RunMetadata, ReportsSaneEnvironment) {

@@ -3,9 +3,9 @@
 // Listens on an AF_UNIX socket or a TCP port for newline-delimited JSON
 // requests (protocol spec: docs/SERVER.md), runs alignment jobs on a
 // bounded worker pool with an LRU cache of parsed problems + squares
-// matrices, and streams solver progress by re-serving each job's JSONL
-// trace. TCP listeners require --auth-token-file; see docs/SERVER.md
-// "Transports & network hardening".
+// matrices, and streams solver progress by re-serving each job's trace
+// events, buffered in memory. TCP listeners require --auth-token-file;
+// see docs/SERVER.md "Transports & network hardening".
 //
 // Examples:
 //   netalign_server --socket /tmp/netalign.sock --workers 2
@@ -78,7 +78,8 @@ int main(int argc, char** argv) try {
       "max-problem-bytes", 1 << 30,
       "largest problem_path file a worker will read");
   auto& work_dir = cli.add_string(
-      "work-dir", "", "directory for per-job trace files (required)");
+      "work-dir", "",
+      "directory for the journal, checkpoints and problem spills (required)");
   auto& journal = cli.add_bool(
       "journal", true,
       "write-ahead job journal in --work-dir (--no-journal = volatile jobs)");

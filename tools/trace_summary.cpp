@@ -143,7 +143,7 @@ int main(int argc, char** argv) try {
   // obs::JsonlTailReader (docs/OBSERVABILITY.md) maps onto one pass:
   // kPending with a partial tail and kTruncatedTail are the crashed
   // writer's cut-off final event (warn and stop); kMalformed mid-stream
-  // stays a hard error. The server's progress stream shares this reader,
+  // stays a hard error. The daemon's journal replay shares this reader,
   // so both consumers tolerate exactly the same damage.
   obs::JsonlTailReader reader(path);
   obs::JsonValue doc;
